@@ -646,9 +646,9 @@ let recv_deadline_slice t ~self ~seconds =
   match try_recv_slice t ~self with
   | Some m -> Some m
   | None ->
-      let deadline = Unix.gettimeofday () +. seconds in
+      let deadline = Clock.now () +. seconds in
       let rec go () =
-        let remain = deadline -. Unix.gettimeofday () in
+        let remain = deadline -. Clock.now () in
         if remain <= 0.0 then None
         else
           match Mailbox.recv_deadline t.boxes.(self) ~seconds:remain with
@@ -775,6 +775,26 @@ let idle t ~self =
         && not (pending_anywhere t)
       then Dead
       else Waiting
+
+(* the dispatch pool's idle wait.  The ARQ here runs on the idle
+   tick, so a worker must come back to [idle] about as often as it
+   always has: one short sleep, then report whether anything arrived *)
+let wait t ~selves ~seconds =
+  let arrived () =
+    List.exists
+      (fun m ->
+        (not (Mailbox.is_empty t.boxes.(m)))
+        || (Mutex.lock t.imutex.(m);
+            let any = not (Queue.is_empty t.inbox.(m)) in
+            Mutex.unlock t.imutex.(m);
+            any))
+      selves
+  in
+  arrived ()
+  || begin
+       if seconds > 0.0 then Unix.sleepf (Float.min seconds 1e-4);
+       arrived ()
+     end
 
 let recv_blocking_slice t ~self =
   check t self;

@@ -238,6 +238,11 @@ val recv_deadline : t -> self:int -> seconds:float -> bytes option
     recovery schedule replays exactly. *)
 val idle : t -> self:int -> idle_outcome
 
+(** {!Transport.S.wait}: one sleep of at most 100 µs (the ARQ here
+    is tick-driven, so the caller must keep driving {!idle}), then
+    whether a message is queued for one of [selves]. *)
+val wait : t -> selves:int list -> seconds:float -> bool
+
 (** Any message pending anywhere — queued in a mailbox, unpacked from a
     batch but not yet consumed, or buffered awaiting a flush?
     (deadlock diagnostics) *)

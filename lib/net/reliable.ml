@@ -6,9 +6,17 @@
    a chaos injector swallowed, and whole machine kill/restarts are
    recovered here exactly as the Sim backend recovers them: per-link
    sequence numbers and checksums in an {!Envelope}, acks for every
-   data frame, duplicate suppression (at-most-once up), capped
-   exponential retransmission on the {!idle} tick, heartbeat-driven
-   Alive/Suspect/Down, and epoch fencing of dead incarnations.
+   data frame, duplicate suppression (at-most-once up), retransmission
+   on RFC 6298 timers, heartbeat-driven Alive/Suspect/Down, and epoch
+   fencing of dead incarnations.
+
+   Two clocks.  Retransmit timers run on the monotonic clock: a real
+   transport's round trip is a wall-time quantity, and a timer counted
+   in {!idle} calls fires as often as the caller happens to poll, so a
+   busy waiter would resend frames whose acks are only a few hundred
+   microseconds away.  The failure detector stays on
+   the shared {!idle} tick, whose [Transport.hb_params] it shares with
+   [Cluster]; [Cluster]'s own ARQ keeps its deterministic tick clock.
 
    All control traffic (envelopes carrying retransmits, acks,
    heartbeats) leaves through the lower transport's [send_raw], so the
@@ -20,13 +28,50 @@ module Msgbuf = Rmi_wire.Msgbuf
 module Protocol = Rmi_wire.Protocol
 module Metrics = Rmi_stats.Metrics
 
-type params = Cluster.params = {
-  rto : int;
-  backoff_cap : int;
-  max_attempts : int;
-}
+(* ------------------------------------------------------------------ *)
+(* retransmit timing: every timer constant, and the RTO estimator      *)
+(* ------------------------------------------------------------------ *)
 
-let default_params = Cluster.default_params
+module Rto = struct
+  (* Nanoseconds.  Loopback round trips take 0.1-0.5 ms, but on a
+     small shared host a thread can wait a millisecond for a core, and
+     a timer shorter than that wait resends a whole window of frames
+     whose acks are merely late: the 1 ms floor keeps such spurious
+     resends rare.  Before a link's first sample its frames wait 4 ms
+     (the first calls of a fresh fabric are slow).  Backoff doubles per
+     resend up to a 4 ms cap: the cap bounds how long recovery from a
+     loss can stall, and under the chaos injector, whose frame clock
+     advances only as frames are sent, how long a stall or an outage
+     lasts.  A frame is abandoned after 12 transmissions, but not before
+     500 ms have passed since the first: twelve capped timeouts span
+     only ~45 ms, shorter than it takes a killed peer process to
+     restart and redial, and the RPC layer's few resends would all be
+     spent inside one outage. *)
+  let floor_ns = 1_000_000
+  let initial_ns = 4_000_000
+  let cap_ns = 4_000_000
+  let max_attempts = 12
+  let give_up_ns = 500_000_000
+
+  (* [srtt = 0]: no sample yet *)
+  type t = { srtt : int; rttvar : int; rto : int }
+
+  let initial = { srtt = 0; rttvar = 0; rto = initial_ns }
+  let clamp ns = max floor_ns (min cap_ns ns)
+
+  (* RFC 6298 section 2, with alpha = 1/8, beta = 1/4, K = 4 *)
+  let sample e ~rtt_ns =
+    let r = max 1 rtt_ns in
+    if e.srtt = 0 then
+      let rttvar = r / 2 in
+      { srtt = r; rttvar; rto = clamp (r + (4 * rttvar)) }
+    else
+      let rttvar = ((3 * e.rttvar) + abs (e.srtt - r)) / 4 in
+      let srtt = ((7 * e.srtt) + r) / 8 in
+      { srtt; rttvar; rto = clamp (srtt + (4 * rttvar)) }
+
+  let backoff rto_ns = min cap_ns (2 * rto_ns)
+end
 
 (* what [self] believes about [peer] (same cell as Cluster's) *)
 type det_cell = {
@@ -36,25 +81,50 @@ type det_cell = {
   mutable known_epoch : int;
 }
 
+(* a sent-but-unacknowledged data frame; times in monotonic ns *)
 type pending = {
   frame : bytes;
+  epoch : int;  (* the sender's incarnation stamped on [frame] *)
+  sent_ns : int;  (* first transmission *)
   mutable attempts : int;
-  mutable rto_now : int;
-  mutable due : int;
+  mutable rto_ns : int;
+  mutable due_ns : int;
 }
 
 type link_tx = {
   mutable next_lseq : int;
   unacked : (int, pending) Hashtbl.t;
+  mutable est : Rto.t;
 }
 
-type link_rx = { seen : (int, unit) Hashtbl.t }
+(* dedup memory: every lseq below [floor] was delivered, and [above]
+   holds the delivered lseqs past it, so in-order traffic keeps the
+   table empty.  A gap (a frame the sender abandoned, or a receiver
+   wiped mid-stream while the sender's numbering runs on) pins the
+   floor, and the lseqs past it are kept. *)
+type link_rx = { mutable floor : int; above : (int, unit) Hashtbl.t }
+
+let rx_reset r =
+  r.floor <- 0;
+  Hashtbl.reset r.above
+
+(* [true] if [lseq] is new: record it and advance the floor over the
+   contiguous run *)
+let rx_admit r lseq =
+  if lseq < r.floor || Hashtbl.mem r.above lseq then false
+  else begin
+    Hashtbl.replace r.above lseq ();
+    while Hashtbl.mem r.above r.floor do
+      Hashtbl.remove r.above r.floor;
+      r.floor <- r.floor + 1
+    done;
+    true
+  end
 
 module M = struct
   type t = {
     lower : Transport.t;
     n : int;
-    params : params;
     tx : link_tx array array;   (* tx.(src).(dest) *)
     rx : link_rx array array;   (* rx.(self).(src) *)
     det : det_cell array array; (* det.(self).(peer) *)
@@ -100,13 +170,16 @@ module M = struct
         in
         Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start))
 
-  let register_unacked t ~lseq ~ltx envelope =
+  let register_unacked ~lseq ~ltx ~epoch envelope =
+    let now = Clock.now_ns () in
     Hashtbl.replace ltx.unacked lseq
       {
         frame = envelope;
+        epoch;
+        sent_ns = now;
         attempts = 1;
-        rto_now = t.params.rto;
-        due = t.tick + t.params.rto;
+        rto_ns = ltx.est.Rto.rto;
+        due_ns = now + ltx.est.Rto.rto;
       }
 
   (* envelope a payload already materialized as bytes: one blit into a
@@ -119,15 +192,16 @@ module M = struct
           let ltx = t.tx.(src).(dest) in
           let lseq = ltx.next_lseq in
           ltx.next_lseq <- lseq + 1;
+          let epoch = self_epoch t src in
           let start =
-            Envelope.encode_into w ~kind:Data ~src ~epoch:(self_epoch t src)
-              ~lseq ~payload:frame ()
+            Envelope.encode_into w ~kind:Data ~src ~epoch ~lseq ~payload:frame
+              ()
           in
           let envelope =
             Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start)
           in
           charge t (Bytes.length frame + Bytes.length envelope);
-          register_unacked t ~lseq ~ltx envelope;
+          register_unacked ~lseq ~ltx ~epoch envelope;
           Mutex.unlock t.lock;
           envelope)
     in
@@ -142,13 +216,13 @@ module M = struct
     let ltx = t.tx.(src).(dest) in
     let lseq = ltx.next_lseq in
     ltx.next_lseq <- lseq + 1;
+    let epoch = self_epoch t src in
     let start =
-      Envelope.encode_around w ~kind:Data ~src ~epoch:(self_epoch t src) ~lseq
-        ~payload_off ()
+      Envelope.encode_around w ~kind:Data ~src ~epoch ~lseq ~payload_off ()
     in
     let envelope = Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start) in
     charge t (Bytes.length envelope);
-    register_unacked t ~lseq ~ltx envelope;
+    register_unacked ~lseq ~ltx ~epoch envelope;
     Mutex.unlock t.lock;
     Transport.send_raw t.lower ~src ~dest envelope
 
@@ -279,7 +353,7 @@ module M = struct
             d.known_epoch <- epoch;
             (* the new incarnation restarts its lseq space at 0, so the
                old dedup memory would wrongly swallow its fresh frames *)
-            Hashtbl.reset t.rx.(self).(src).seen
+            rx_reset t.rx.(self).(src)
           end;
           d.last_heard <- t.tick;
           if d.health <> Transport.Alive then begin
@@ -304,8 +378,17 @@ module M = struct
               end;
               None
           | Envelope.Ack ->
+              let now = Clock.now_ns () in
               Mutex.lock t.lock;
-              Hashtbl.remove t.tx.(self).(src).unacked lseq;
+              let ltx = t.tx.(self).(src) in
+              (match Hashtbl.find_opt ltx.unacked lseq with
+              | Some p ->
+                  Hashtbl.remove ltx.unacked lseq;
+                  (* Karn's rule: the ack of a resent frame may answer
+                     any of its copies, so it measures nothing *)
+                  if p.attempts = 1 then
+                    ltx.est <- Rto.sample ltx.est ~rtt_ns:(now - p.sent_ns)
+              | None -> ());
               Mutex.unlock t.lock;
               None
           | Envelope.Data ->
@@ -315,9 +398,7 @@ module M = struct
               Transport.send_raw t.lower ~src:self ~dest:src
                 (control_frame t ~kind:Envelope.Ack ~src:self ~lseq);
               Mutex.lock t.lock;
-              let seen = t.rx.(self).(src).seen in
-              let dup = Hashtbl.mem seen lseq in
-              if not dup then Hashtbl.add seen lseq ();
+              let dup = not (rx_admit t.rx.(self).(src) lseq) in
               Mutex.unlock t.lock;
               if dup then begin
                 Metrics.incr_dup_drops (metrics t);
@@ -350,9 +431,9 @@ module M = struct
     match try_recv_slice t ~self with
     | Some m -> Some m
     | None ->
-        let deadline = Unix.gettimeofday () +. seconds in
+        let deadline = Clock.now () +. seconds in
         let rec go () =
-          let remain = deadline -. Unix.gettimeofday () in
+          let remain = deadline -. Clock.now () in
           if remain <= 0.0 then None
           else
             match Transport.recv_deadline_slice t.lower ~self ~seconds:remain with
@@ -371,7 +452,7 @@ module M = struct
     || buffered_anywhere t
 
   (* ---------------------------------------------------------------- *)
-  (* the retransmit + failure-detector clock                           *)
+  (* the retransmit timers and the failure-detector tick               *)
   (* ---------------------------------------------------------------- *)
 
   (* sweep the detector on the shared tick (covers every observer, like
@@ -425,6 +506,7 @@ module M = struct
     (* the lower transport first: a chaos injector drains its due
        connection actions and crash transitions there *)
     ignore (Transport.idle t.lower ~self : Transport.idle_outcome);
+    let now = Clock.now_ns () in
     Mutex.lock t.lock;
     t.tick <- t.tick + 1;
     let resend = ref [] in
@@ -432,18 +514,24 @@ module M = struct
     let unacked = ref 0 in
     Array.iteri
       (fun src row ->
+        let epoch = self_epoch t src in
         Array.iteri
           (fun dest ltx ->
             let expired = ref [] in
             Hashtbl.iter
               (fun lseq p ->
-                if p.due > t.tick then incr unacked
-                else if p.attempts >= t.params.max_attempts then
-                  expired := lseq :: !expired
+                if p.due_ns > now then incr unacked
+                else if
+                  (p.attempts >= Rto.max_attempts
+                  && now - p.sent_ns >= Rto.give_up_ns)
+                  (* stamped by an incarnation of [src] that has since
+                     died: every peer fences it, so no ack will come *)
+                  || p.epoch < epoch
+                then expired := lseq :: !expired
                 else begin
                   p.attempts <- p.attempts + 1;
-                  p.rto_now <- min (p.rto_now * 2) t.params.backoff_cap;
-                  p.due <- t.tick + p.rto_now;
+                  p.rto_ns <- Rto.backoff p.rto_ns;
+                  p.due_ns <- now + p.rto_ns;
                   incr unacked;
                   resend := (src, dest, p.frame) :: !resend
                 end)
@@ -482,6 +570,41 @@ module M = struct
     else if !resend <> [] then Transport.Retransmitted (List.length !resend)
     else if !unacked = 0 && not (pending_anywhere t) then Transport.Dead
     else Transport.Waiting
+
+  let inbox_queued t m =
+    Mutex.lock t.imutex.(m);
+    let any = not (Queue.is_empty t.inbox.(m)) in
+    Mutex.unlock t.imutex.(m);
+    any
+
+  (* the earliest retransmit deadline on links out of [selves] *)
+  let next_due_ns t selves =
+    Mutex.lock t.lock;
+    let due =
+      List.fold_left
+        (fun acc src ->
+          Array.fold_left
+            (fun acc ltx ->
+              Hashtbl.fold (fun _ p acc -> min acc p.due_ns) ltx.unacked acc)
+            acc t.tx.(src))
+        max_int selves
+    in
+    Mutex.unlock t.lock;
+    due
+
+  (* sleep in the lower transport until an arrival, or until the next
+     of our timers falls due and [idle] has a frame to resend.  Frames
+     already queued win over a due timer: one of them may be the ack
+     that cancels it. *)
+  let wait t ~selves ~seconds =
+    List.iter (check t) selves;
+    List.exists (inbox_queued t) selves
+    ||
+    let until_due =
+      float_of_int (next_due_ns t selves - Clock.now_ns ()) *. 1e-9
+    in
+    Transport.wait t.lower ~selves
+      ~seconds:(Float.max 0.0 (Float.min seconds until_due))
 
   let recv_blocking_slice t ~self =
     check t self;
@@ -545,9 +668,10 @@ let wipe_machine (t : M.t) m =
   Array.iter
     (fun ltx ->
       ltx.next_lseq <- 0;
-      Hashtbl.reset ltx.unacked)
+      Hashtbl.reset ltx.unacked;
+      ltx.est <- Rto.initial)
     t.M.tx.(m);
-  Array.iter (fun lrx -> Hashtbl.reset lrx.seen) t.M.rx.(m);
+  Array.iter rx_reset t.M.rx.(m);
   Array.iter
     (fun d ->
       d.last_heard <- t.M.tick;
@@ -556,20 +680,23 @@ let wipe_machine (t : M.t) m =
     t.M.det.(m);
   Mutex.unlock t.M.lock
 
-let wrap ?(params = default_params) lower =
+let wrap_t lower =
   let n = Transport.size lower in
   let t =
     {
       M.lower;
       n;
-      params;
       tx =
         Array.init n (fun _ ->
             Array.init n (fun _ ->
-                { next_lseq = 0; unacked = Hashtbl.create 8 }));
+                {
+                  next_lseq = 0;
+                  unacked = Hashtbl.create 8;
+                  est = Rto.initial;
+                }));
       rx =
         Array.init n (fun _ ->
-            Array.init n (fun _ -> { seen = Hashtbl.create 64 }));
+            Array.init n (fun _ -> { floor = 0; above = Hashtbl.create 8 }));
       det =
         Array.init n (fun _ ->
             Array.init n (fun _ ->
@@ -593,4 +720,23 @@ let wrap ?(params = default_params) lower =
   Transport.on_process_event lower (function
     | Transport.Proc_crashed { machine; _ } -> wipe_machine t machine
     | Transport.Proc_restarted _ -> ());
-  Transport.pack (module M) t
+  t
+
+let pack (t : M.t) = Transport.pack (module M) t
+let wrap lower = pack (wrap_t lower)
+
+let rtt_estimate (t : M.t) ~src ~dest =
+  M.check t src;
+  M.check t dest;
+  Mutex.lock t.M.lock;
+  let e = t.M.tx.(src).(dest).est in
+  Mutex.unlock t.M.lock;
+  e
+
+let dedup_held (t : M.t) ~self ~src =
+  M.check t self;
+  M.check t src;
+  Mutex.lock t.M.lock;
+  let k = Hashtbl.length t.M.rx.(self).(src).above in
+  Mutex.unlock t.M.lock;
+  k

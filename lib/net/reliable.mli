@@ -2,11 +2,17 @@
 
     [wrap lower] returns a transport that speaks {!Envelope} frames
     over [lower]'s raw wire ({!Transport.S.send_raw}): per-link
-    sequence numbers, acks, duplicate suppression, capped-exponential
-    retransmission on the {!Transport.S.idle} tick, heartbeat-driven
-    Alive/Suspect/Down and epoch fencing — the exact ARQ the [Cluster]
-    backend runs in [Reliable] mode, lifted out so the [Sock] backend
-    gets the same exactly-once guarantees over real TCP.
+    sequence numbers, acks, duplicate suppression, retransmission,
+    heartbeat-driven Alive/Suspect/Down and epoch fencing — the ARQ the
+    [Cluster] backend runs in [Reliable] mode, lifted out so the [Sock]
+    backend gets the same exactly-once guarantees over real TCP.
+
+    Retransmit timers run on the monotonic clock ({!Clock}): each link
+    keeps an RFC 6298 round-trip estimator ({!Rto}), each unacked frame
+    its send time and due time, and {!Transport.S.idle} resends the
+    frames that are due.  The failure detector counts {!Transport.S.idle}
+    ticks, as [Cluster]'s does.  {!Transport.S.wait} sleeps in the lower
+    transport until an arrival or the next due timer.
 
     The adapter keeps its own link state, batcher and failure
     detector; it delegates the physical layer (fault schedules, chaos
@@ -19,16 +25,60 @@
     charge the payload once at the adapter; envelope and control
     frames ride [lower]'s [send_raw], which charges nothing. *)
 
-type params = Cluster.params = {
-  rto : int;  (** ticks before first retransmission *)
-  backoff_cap : int;  (** rto doubles per attempt up to this *)
-  max_attempts : int;  (** then the frame is abandoned ([timeouts]) *)
-}
+(** The retransmission timeout: every timer constant and the RFC 6298
+    estimator, as pure functions over nanoseconds. *)
+module Rto : sig
+  (** 1 ms: no RTO is shorter. *)
+  val floor_ns : int
 
-val default_params : params
+  (** 4 ms: the RTO before a link's first sample. *)
+  val initial_ns : int
 
-(** [wrap ?params lower] stacks the reliability layer over [lower].
-    [lower] must not also be used directly afterwards (frames sent
-    around the adapter would reach peers unenveloped and be dropped by
-    the decoder). *)
-val wrap : ?params:params -> Transport.t -> Transport.t
+  (** 4 ms: no RTO, backed off or not, is longer. *)
+  val cap_ns : int
+
+  (** 12: then the frame is abandoned ([timeouts]), once
+      {!give_up_ns} have also passed since its first transmission. *)
+  val max_attempts : int
+
+  (** 500 ms: the least time a frame is retransmitted before it is
+      abandoned, so a peer process that is killed and restarted is
+      waited for. *)
+  val give_up_ns : int
+
+  (** A link's estimator; [srtt = 0] before the first sample. *)
+  type t = { srtt : int; rttvar : int; rto : int }
+
+  val initial : t
+
+  (** Fold in one round-trip sample (from a frame sent once: Karn's
+      rule is the caller's).  The first sample [r] sets SRTT = [r],
+      RTTVAR = [r]/2; later ones smooth with alpha = 1/8, beta = 1/4.
+      RTO = SRTT + 4 RTTVAR, clamped to [\[floor_ns, cap_ns\]]. *)
+  val sample : t -> rtt_ns:int -> t
+
+  (** The timeout after one more unanswered transmission: doubled,
+      capped at [cap_ns]. *)
+  val backoff : int -> int
+end
+
+type t
+
+(** [wrap lower] stacks the reliability layer over [lower].  [lower]
+    must not also be used directly afterwards (frames sent around the
+    adapter would reach peers unenveloped and be dropped by the
+    decoder). *)
+val wrap : Transport.t -> Transport.t
+
+(** {!wrap} returning the unpacked handle, for the diagnostics
+    below. *)
+val wrap_t : Transport.t -> t
+
+val pack : t -> Transport.t
+
+(** The round-trip estimator of the link [src -> dest]. *)
+val rtt_estimate : t -> src:int -> dest:int -> Rto.t
+
+(** How many delivered lseqs from [src] machine [self] holds above its
+    contiguous low-water mark; 0 after gap-free in-order traffic. *)
+val dedup_held : t -> self:int -> src:int -> int

@@ -42,6 +42,13 @@ module M = struct
     inbox : (bytes * int * int) Queue.t;
     ilock : Mutex.t;
     icond : Condition.t;
+    (* arrival wake-ups for timed waits: [deliver] writes a byte to
+       [ring_w] while [waiters] > 0, and a waiter polls [ring_r] — poll
+       releases the runtime lock, so a waiting systhread leaves the
+       event loop free to run *)
+    ring_r : Unix.file_descr;
+    ring_w : Unix.file_descr;
+    waiters : int Atomic.t;
   }
 
   type t = {
@@ -135,6 +142,22 @@ module M = struct
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
 
   let wake t = try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1) with _ -> ()
+
+  (* both ends of a wake pipe are non-blocking: a full pipe already
+     holds a pending wake-up, and draining stops at empty *)
+  let ring ep =
+    try ignore (Unix.single_write ep.ring_w (Bytes.make 1 '!') 0 1 : int)
+    with Unix.Unix_error _ -> ()
+
+  let drain_ring ep =
+    let b = Bytes.create 64 in
+    let rec go () =
+      match Unix.read ep.ring_r b 0 64 with
+      | 64 -> go ()
+      | _ -> ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    go ()
 
   (* ---------------------------------------------------------------- *)
   (* connection lifecycle: kill, register, reconnect                   *)
@@ -245,11 +268,11 @@ module M = struct
   (* capped exponential backoff until the link re-forms, the transport
      closes, or the mesh timeout passes *)
   let reconnect_loop t ~owner ~peer =
-    let deadline = Unix.gettimeofday () +. mesh_timeout in
+    let deadline = Clock.now () +. mesh_timeout in
     let rec go attempt =
       if
         (not (Atomic.get t.stop))
-        && Unix.gettimeofday () <= deadline
+        && Clock.now () <= deadline
         && not (link_alive t ~owner ~peer)
       then begin
         let delay =
@@ -314,7 +337,10 @@ module M = struct
     Mutex.lock ep.ilock;
     List.iter (fun s -> Queue.push s ep.inbox) parts;
     Condition.broadcast ep.icond;
-    Mutex.unlock ep.ilock
+    Mutex.unlock ep.ilock;
+    (* read after the push: a waiter registers before it checks the
+       inbox, so either it sees this frame or we see it *)
+    if Atomic.get ep.waiters > 0 then ring ep
 
   (* ---------------------------------------------------------------- *)
   (* send path                                                         *)
@@ -593,29 +619,53 @@ module M = struct
       m
     end
 
+  let queued ep =
+    Mutex.lock ep.ilock;
+    let any = not (Queue.is_empty ep.inbox) in
+    Mutex.unlock ep.ilock;
+    any
+
+  (* block until one of [eps] has a queued frame, the transport closes
+     or [seconds] pass; whether a frame is queued *)
+  let await_eps t eps ~seconds =
+    List.iter (fun ep -> Atomic.incr ep.waiters) eps;
+    let ready () = List.exists queued eps in
+    if seconds > 0.0 && (not t.closed) && not (ready ()) then
+      ignore
+        (Poll.readable
+           (Array.of_list (List.map (fun ep -> ep.ring_r) eps))
+           ~timeout:seconds
+          : int list);
+    List.iter
+      (fun ep ->
+        Atomic.decr ep.waiters;
+        drain_ring ep)
+      eps;
+    ready ()
+
   let recv_deadline_slice t ~self ~seconds =
     let ep = hosted t self in
     match pop ep with
     | Some m -> Some m
     | None ->
-        let deadline = Unix.gettimeofday () +. seconds in
+        let deadline = Clock.now () +. seconds in
+        (* bind every pop exactly once: a message dequeued here must be
+           returned, never compared away *)
         let rec go () =
           match pop ep with
           | Some m -> Some m
           | None ->
-              if Unix.gettimeofday () >= deadline then None
+              let remain = deadline -. Clock.now () in
+              if remain <= 0.0 || t.closed then None
               else begin
-                Thread.yield ();
-                (* bind every pop exactly once: a message dequeued here
-                   must be returned, never compared away *)
-                match pop ep with
-                | Some m -> Some m
-                | None ->
-                    Unix.sleepf 5e-5;
-                    go ()
+                ignore (await_eps t [ ep ] ~seconds:remain : bool);
+                go ()
               end
         in
         go ()
+
+  let wait t ~selves ~seconds =
+    await_eps t (List.map (hosted t) selves) ~seconds
 
   (* ---------------------------------------------------------------- *)
   (* the event loop: accept, read hellos, reassemble frames            *)
@@ -839,12 +889,19 @@ module M = struct
               (try Unix.close ep.lfd with Unix.Unix_error _ -> ());
               Mutex.lock ep.ilock;
               Condition.broadcast ep.icond;
-              Mutex.unlock ep.ilock)
+              Mutex.unlock ep.ilock;
+              ring ep)
           | None -> ())
         t.eps;
       Mutex.unlock t.clock;
-      (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-      try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+      let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+      Array.iter
+        (Option.iter (fun ep ->
+             close ep.ring_r;
+             close ep.ring_w))
+        t.eps;
+      close t.wake_r;
+      close t.wake_w
     end
 
   (* bytes-returning receive wrappers: the shared Transport defaults *)
@@ -910,6 +967,9 @@ let make ~n ~loopback ~hosted_ids ~listeners ~peer_addr metrics =
   let eps = Array.make n None in
   List.iter2
     (fun id lfd ->
+      let ring_r, ring_w = Unix.pipe () in
+      Unix.set_nonblock ring_r;
+      Unix.set_nonblock ring_w;
       eps.(id) <-
         Some
           {
@@ -917,6 +977,9 @@ let make ~n ~loopback ~hosted_ids ~listeners ~peer_addr metrics =
             inbox = Queue.create ();
             ilock = Mutex.create ();
             icond = Condition.create ();
+            ring_r;
+            ring_w;
+            waiters = Atomic.make 0;
           })
     hosted_ids listeners;
   let wake_r, wake_w = Unix.pipe () in
@@ -951,11 +1014,11 @@ let make ~n ~loopback ~hosted_ids ~listeners ~peer_addr metrics =
    while the peer process boots, and announce ourselves with the
    4-byte hello *)
 let connect_to t ~owner ~peer host port =
-  let deadline = Unix.gettimeofday () +. mesh_timeout in
+  let deadline = Clock.now () +. mesh_timeout in
   let rec attempt () =
     match M.dial ~owner host port with
     | Some fd -> fd
-    | None when Unix.gettimeofday () < deadline ->
+    | None when Clock.now () < deadline ->
         Unix.sleepf connect_retry_every;
         attempt ()
     | None -> failwith (Printf.sprintf "Sock: cannot reach %s:%d" host port)
@@ -971,34 +1034,37 @@ let mesh_complete t hosted_ids =
         (Array.init t.M.n Fun.id))
     hosted_ids
 
+(* the event loop promotes accepted peers within microseconds on
+   loopback, so the wait starts at 100 us and doubles up to 10 ms *)
 let await_mesh t hosted_ids =
-  let deadline = Unix.gettimeofday () +. mesh_timeout in
-  let rec go () =
+  let deadline = Clock.now () +. mesh_timeout in
+  let rec go delay =
     Mutex.lock t.M.clock;
     let ok = mesh_complete t hosted_ids in
     Mutex.unlock t.M.clock;
     if ok then ()
-    else if Unix.gettimeofday () >= deadline then begin
+    else if Clock.now () >= deadline then begin
       M.shutdown t;
       failwith "Sock: mesh formation timed out (are all peers running?)"
     end
     else begin
-      Unix.sleepf 0.02;
-      go ()
+      Unix.sleepf delay;
+      go (Float.min 0.01 (2.0 *. delay))
     end
   in
-  go ()
+  go 1e-4
 
 (* the poll(2) event loop is bounded only by the process RLIMIT_NOFILE
-   budget.  A loopback mesh holds the wake pipe (2), n listeners,
-   n(n-1) conn fds (both ends of every link are hosted here) and up to
-   n(n-1)/2 pending accepts during formation; 64 descriptors of
+   budget.  A loopback mesh holds the wake pipe (2), n arrival wake
+   pipes (2n), n listeners, n(n-1) conn fds (both ends of every link
+   are hosted here) and up to n(n-1)/2 pending accepts during
+   formation; 64 descriptors of
    headroom are left for the rest of the process, and the answer is
    capped at 512 machines (the O(n^2) fd scan stops being a sane event
    loop long before the budget runs out) *)
 let max_loopback_machines () =
   let budget = Poll.nofile_limit () - 64 in
-  let fds n = 2 + n + (n * (n - 1)) + (n * (n - 1) / 2) in
+  let fds n = 2 + (3 * n) + (n * (n - 1)) + (n * (n - 1) / 2) in
   let rec grow n = if n < 512 && fds (n + 1) <= budget then grow (n + 1) else n in
   grow 1
 

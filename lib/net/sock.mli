@@ -8,7 +8,10 @@
     see {!max_loopback_machines}): it accepts peers, reassembles the
     length-prefixed byte stream into frames, splits batch envelopes
     into slices and queues them on the owning endpoint's inbox, where
-    the slice-receive family picks them up.
+    the slice-receive family picks them up.  A timed receive (or
+    {!Transport.S.wait}) blocks in [poll] on a per-endpoint wake pipe
+    that delivery writes to while a waiter is registered, so it wakes
+    on the arrival itself instead of polling the inbox.
 
     Framing is a 4-byte big-endian length prefix per frame.  The
     zero-copy send path ships a pooled gapped writer without
@@ -57,9 +60,9 @@ type t
 val pack : t -> Transport.t
 
 (** The loopback machine ceiling for this process: the largest [n]
-    whose full mesh (wake pipe, [n] listeners, [n(n-1)] conn fds,
-    formation-transient pending accepts) fits the RLIMIT_NOFILE budget
-    with headroom, capped at 512. *)
+    whose full mesh (wake pipe, [n] arrival wake pipes, [n]
+    listeners, [n(n-1)] conn fds, formation-transient pending accepts)
+    fits the RLIMIT_NOFILE budget with headroom, capped at 512. *)
 val max_loopback_machines : unit -> int
 
 (** [create_loopback ~n metrics] hosts all [n] endpoints on

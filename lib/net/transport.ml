@@ -83,6 +83,7 @@ module type S = sig
   val recv_blocking : t -> self:int -> bytes
   val recv_deadline : t -> self:int -> seconds:float -> bytes option
   val idle : t -> self:int -> idle_outcome
+  val wait : t -> selves:int list -> seconds:float -> bool
   val pending_anywhere : t -> bool
   val peer_health : t -> self:int -> peer:int -> peer_health
   val set_detector : t -> hb_params -> unit
@@ -154,6 +155,7 @@ let recv_deadline (Packed ((module M), h)) ~self ~seconds =
   M.recv_deadline h ~self ~seconds
 
 let idle (Packed ((module M), h)) ~self = M.idle h ~self
+let wait (Packed ((module M), h)) ~selves ~seconds = M.wait h ~selves ~seconds
 let pending_anywhere (Packed ((module M), h)) = M.pending_anywhere h
 
 let peer_health (Packed ((module M), h)) ~self ~peer =

@@ -154,6 +154,14 @@ module type S = sig
   (** Advance the retransmit/failure-detector clock by one tick. *)
   val idle : t -> self:int -> idle_outcome
 
+  (** [wait t ~selves ~seconds] blocks until a message may be
+      receivable at one of the machines [selves], or until {!idle}
+      has work for them (a retransmit timer falls due), or until
+      [seconds] pass.  [true] means an arrival woke it: receive before
+      idling.  [false] means the caller should drive {!idle}.  Either
+      answer may be spurious; callers loop. *)
+  val wait : t -> selves:int list -> seconds:float -> bool
+
   (** Any message pending anywhere this backend can see?  (deadlock
       diagnostics; a multi-process backend answers conservatively) *)
   val pending_anywhere : t -> bool
@@ -232,6 +240,7 @@ val try_recv : t -> self:int -> bytes option
 val recv_blocking : t -> self:int -> bytes
 val recv_deadline : t -> self:int -> seconds:float -> bytes option
 val idle : t -> self:int -> idle_outcome
+val wait : t -> selves:int list -> seconds:float -> bool
 val pending_anywhere : t -> bool
 val peer_health : t -> self:int -> peer:int -> peer_health
 val set_detector : t -> hb_params -> unit

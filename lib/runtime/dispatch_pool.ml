@@ -15,9 +15,11 @@
      dispatches serialized (the node's plan caches, reuse tables and
      reply cache are single-threaded state); parallelism comes from
      serving different nodes simultaneously.
-   - idle: a worker that made no progress drives the retransmit clock
-     for its owned nodes, then backs off — spin briefly, then sleep —
-     so a saturated client domain is never starved on small hosts. *)
+   - idle: a worker that made no progress blocks in the transport's
+     [wait] until one of its owned nodes has an arrival or one of
+     their retransmit timers falls due, and drives the retransmit
+     clock whenever it woke for anything but an arrival.  Blocking
+     frees the processor for the client domain on small hosts. *)
 
 module Metrics = Rmi_stats.Metrics
 module Protocol = Rmi_wire.Protocol
@@ -42,6 +44,10 @@ type t = {
   stopping : bool Atomic.t;
   mutable workers : unit Domain.t list;
 }
+
+(* the longest an idle worker sleeps before it drives the retransmit
+   clock and checks [stopping] again *)
+let idle_wait = 0.002
 
 let shutdown_seq = 0
 (* control requests (fabric shutdown) carry seq 0 and are never
@@ -136,33 +142,31 @@ let run_one t w =
   own 0 || steal 0
 
 let worker t w () =
-  let n = Array.length t.queues in
-  let idle_rounds = ref 0 in
+  let selves =
+    List.filteri (fun i _ -> i mod t.n_workers = w) (Array.to_list t.queues)
+    |> List.map (fun nq -> Node.id nq.node)
+  in
+  (* a worker can block on its own nodes' arrivals, not on work queued
+     for others to steal: with peers to steal from it looks again
+     every 100 us, as the polling worker did *)
+  let bound = if t.n_workers = 1 then idle_wait else 1e-4 in
   let stop = ref false in
   while not !stop do
     let progress = ref false in
-    for i = 0 to n - 1 do
+    for i = 0 to Array.length t.queues - 1 do
       if i mod t.n_workers = w && intake_one t t.queues.(i) then
         progress := true
     done;
     if run_one t w then progress := true;
-    if !progress then idle_rounds := 0
-    else begin
-      incr idle_rounds;
-      (* drive retransmission for the owned nodes, as the blocking
-         serve loop would have *)
-      for i = 0 to n - 1 do
-        if i mod t.n_workers = w then
-          ignore
-            (Rmi_net.Transport.idle t.net ~self:(Node.id t.queues.(i).node))
-      done;
+    if not !progress then
       if Atomic.get t.stopping then stop := true
-      else if !idle_rounds < 50 then Domain.cpu_relax ()
-      else
-        (* a polling worker must yield the processor on small hosts or
-           it starves the client domain driving the workload *)
-        Unix.sleepf 0.0001
-    end
+      else if selves = [] then Unix.sleepf bound
+      else if not (Rmi_net.Transport.wait t.net ~selves ~seconds:bound) then
+        (* drive retransmission for the owned nodes, as the blocking
+           serve loop would have *)
+        List.iter
+          (fun self -> ignore (Rmi_net.Transport.idle t.net ~self))
+          selves
   done
 
 let create ~net ~nodes ~domains ~queue_depth () =

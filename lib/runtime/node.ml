@@ -802,7 +802,7 @@ let breaker_failure t dest =
     b.consecutive >= t.cfg.Config.failover.Config.breaker_threshold
     && b.opened_at < 0.0
   then begin
-    b.opened_at <- Unix.gettimeofday ();
+    b.opened_at <- Rmi_net.Clock.now ();
     trace_event t (Trace.Breaker_open { machine = t.nid; peer = dest })
   end
 
@@ -828,7 +828,7 @@ let resolve_future t (p : pending) state =
   match state with
   | Failed _ -> ()
   | _ ->
-      let elapsed_s = Unix.gettimeofday () -. p.pc_started in
+      let elapsed_s = Rmi_net.Clock.now () -. p.pc_started in
       (* client-observed round trip, one histogram sample per settled
          call; both the local and any remote domain may record, hence
          the atomic buckets *)
@@ -857,7 +857,7 @@ let handle_reply t (hdr : Protocol.header) r =
          not consume the RPC retry budget: flow control is bounded by
          the call deadline alone. *)
       breaker_failure t p.pc_dest;
-      let now = Unix.gettimeofday () in
+      let now = Rmi_net.Clock.now () in
       if now >= p.pc_deadline then begin
         trace_event t (Trace.Timeout { machine = t.nid; dests = [ p.pc_dest ] });
         resolve_future t p
@@ -1112,7 +1112,7 @@ let send_shutdown t ~dest =
    budget (or the cluster went quiescent with [q] unanswered): retry,
    fail over to a replica, or give up according to the failure policy *)
 let transport_failed t (q : pending) detail =
-  let now = Unix.gettimeofday () in
+  let now = Rmi_net.Clock.now () in
   breaker_failure t q.pc_dest;
   if now >= q.pc_deadline then begin
     trace_event t (Trace.Timeout { machine = t.nid; dests = [ q.pc_dest ] });
@@ -1163,7 +1163,7 @@ let transport_failed t (q : pending) detail =
 (* fail every outstanding call whose end-to-end deadline has passed,
    whatever the transport is doing *)
 let sweep_deadlines t =
-  let now = Unix.gettimeofday () in
+  let now = Rmi_net.Clock.now () in
   let victims =
     Hashtbl.fold
       (fun _ q acc -> if now >= q.pc_deadline then q :: acc else acc)
@@ -1311,7 +1311,7 @@ let peek_pending (p : pending) =
 
 let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
     args =
-  let started = Unix.gettimeofday () in
+  let started = Rmi_net.Clock.now () in
   trace_event t
     (Trace.Call_start
        { machine = t.nid; dest = dest.Remote_ref.machine; meth; callsite;

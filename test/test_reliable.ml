@@ -176,8 +176,154 @@ let parallel_mode_over_reliable () =
                 ~meth:m_double ~callsite:1 ~has_ret:true [| box v |]))
       done)
 
+(* --- Reliable.wrap's retransmit timers --------------------------- *)
+
+module Reliable = Rmi_net.Reliable
+module Rto = Reliable.Rto
+module Transport = Rmi_net.Transport
+
+let us n = n * 1_000
+
+let rto_first_sample () =
+  let e = Rto.sample Rto.initial ~rtt_ns:(us 600) in
+  Alcotest.(check int) "srtt = r" (us 600) e.Rto.srtt;
+  Alcotest.(check int) "rttvar = r/2" (us 300) e.Rto.rttvar;
+  Alcotest.(check int) "rto = srtt + 4 rttvar" (us 1800) (e.Rto.srtt + (4 * e.Rto.rttvar));
+  Alcotest.(check int) "rto clamped" (max Rto.floor_ns (us 1800)) e.Rto.rto
+
+let rto_smoothing () =
+  let e = Rto.sample (Rto.sample Rto.initial ~rtt_ns:(us 1000)) ~rtt_ns:(us 1400) in
+  (* rttvar = 3/4 * 500 + 1/4 * |1000 - 1400|; srtt = 7/8 * 1000 + 1/8 * 1400 *)
+  Alcotest.(check int) "rttvar" (us 475) e.Rto.rttvar;
+  Alcotest.(check int) "srtt" (us 1050) e.Rto.srtt;
+  Alcotest.(check int) "rto" (us 2950) e.Rto.rto;
+  (* a steady round trip: srtt converges on it and the variance decays,
+     leaving the RTO at the floor *)
+  let rec steady e k =
+    if k = 0 then e else steady (Rto.sample e ~rtt_ns:(us 300)) (k - 1)
+  in
+  let e = steady e 200 in
+  Alcotest.(check bool) "srtt converged" true (abs (e.Rto.srtt - us 300) < us 1);
+  Alcotest.(check bool) "variance decayed" true (e.Rto.rttvar < us 1);
+  Alcotest.(check int) "rto at the floor" Rto.floor_ns e.Rto.rto
+
+let rto_clamps () =
+  Alcotest.(check int) "floor" Rto.floor_ns
+    (Rto.sample Rto.initial ~rtt_ns:(us 10)).Rto.rto;
+  Alcotest.(check int) "cap" Rto.cap_ns
+    (Rto.sample Rto.initial ~rtt_ns:(us 50_000)).Rto.rto;
+  Alcotest.(check bool) "initial inside the clamp" true
+    (Rto.floor_ns <= Rto.initial.Rto.rto && Rto.initial.Rto.rto <= Rto.cap_ns)
+
+let rto_backoff () =
+  Alcotest.(check int) "doubles" (min Rto.cap_ns (2 * Rto.floor_ns))
+    (Rto.backoff Rto.floor_ns);
+  let rec back r k = if k = 0 then r else back (Rto.backoff r) (k - 1) in
+  Alcotest.(check int) "capped" Rto.cap_ns (back Rto.floor_ns Rto.max_attempts);
+  Alcotest.(check int) "cap is a fixed point" Rto.cap_ns (Rto.backoff Rto.cap_ns)
+
+(* the adapter over the raw simulated interconnect: nothing moves unless
+   the test receives or idles, so the retransmission is staged exactly *)
+let with_adapter f =
+  let metrics = Metrics.create () in
+  let r = Reliable.wrap_t (Rmi_net.Sim.create ~n:2 metrics) in
+  f r (Reliable.pack r) metrics
+
+let recv_now net ~self =
+  Option.map Bytes.to_string (Transport.try_recv net ~self)
+
+(* Karn's rule: the ack of a retransmitted frame gives no sample *)
+let karn_rule () =
+  with_adapter @@ fun r net metrics ->
+  Transport.send net ~src:0 ~dest:1 (Bytes.of_string "a");
+  Unix.sleepf (2.0 *. float_of_int Rto.initial_ns *. 1e-9);
+  (match Transport.idle net ~self:0 with
+  | Transport.Retransmitted 1 -> ()
+  | _ -> Alcotest.fail "expected one retransmission");
+  Alcotest.(check (option string)) "first copy" (Some "a") (recv_now net ~self:1);
+  Alcotest.(check (option string)) "second copy dropped" None (recv_now net ~self:1);
+  Alcotest.(check (option string)) "acks consumed" None (recv_now net ~self:0);
+  Alcotest.(check int) "one dup drop" 1 (Metrics.snapshot metrics).Metrics.dup_drops;
+  Alcotest.(check bool) "no sample from the resent frame" true
+    (Reliable.rtt_estimate r ~src:0 ~dest:1 = Rto.initial);
+  Transport.send net ~src:0 ~dest:1 (Bytes.of_string "b");
+  Alcotest.(check (option string)) "second frame" (Some "b") (recv_now net ~self:1);
+  ignore (recv_now net ~self:0 : string option);
+  Alcotest.(check bool) "a frame sent once is sampled" true
+    ((Reliable.rtt_estimate r ~src:0 ~dest:1).Rto.srtt > 0)
+
+let dedup_bounded () =
+  with_adapter @@ fun r net _ ->
+  for i = 0 to 499 do
+    Transport.send net ~src:0 ~dest:1 (Bytes.of_string (string_of_int i))
+  done;
+  for i = 0 to 499 do
+    Alcotest.(check (option string))
+      "in order" (Some (string_of_int i)) (recv_now net ~self:1)
+  done;
+  Alcotest.(check int) "nothing held above the low-water mark" 0
+    (Reliable.dedup_held r ~self:1 ~src:0)
+
+(* a lossless loopback mesh must not resend: with the timers on the
+   monotonic clock, an ack that arrives in a normal round trip beats
+   the timeout.  One trial is 400 pipelined calls on a fresh fabric;
+   returns (retransmits, data frames). *)
+let loopback_trial () =
+  let metrics = Metrics.create () in
+  let fabric =
+    Fabric.create ~mode:Fabric.Parallel ~backend:Fabric.Sock ~n:2 ~meta
+      ~config:(Config.with_domains 1 (Config.with_reliable Config.class_))
+      ~plans:(Hashtbl.create 4) ~metrics ()
+  in
+  Node.export (Fabric.node fabric 1) ~obj:0 ~meth:m_double ~has_ret:true
+    (fun args -> Some (box ((2 * unbox (Some args.(0))) + 1)));
+  Fabric.run fabric (fun fabric ->
+      let caller = Fabric.node fabric 0 in
+      let dest = Remote_ref.make ~machine:1 ~obj:0 in
+      for burst = 0 to 49 do
+        List.iter
+          (fun (v, f) ->
+            Alcotest.(check int) "reply" ((2 * v) + 1) (unbox (Node.Future.await f)))
+          (List.init 8 (fun j ->
+               let v = (burst * 8) + j in
+               ( v,
+                 Node.call_async caller ~dest ~meth:m_double ~callsite:1
+                   ~has_ret:true [| box v |] )))
+      done);
+  Fabric.shutdown_net fabric;
+  let s = Metrics.snapshot metrics in
+  Alcotest.(check int) "data frames" 800 s.Metrics.msgs_sent;
+  (s.Metrics.retries, s.Metrics.msgs_sent)
+
+(* A virtual host can lose its CPU for tens of milliseconds; every
+   timer that expires meanwhile resends frames whose acks are merely
+   late, whatever the RTO.  So the bound must hold in one of three
+   trials.  The idle-tick timer this replaced resent about one frame
+   per call in every trial. *)
+let loopback_no_spurious_retransmits () =
+  let rec go k seen =
+    let retries, frames = loopback_trial () in
+    let seen = Printf.sprintf "%s %d/%d" seen retries frames in
+    if retries * 100 <= frames then ()
+    else if k > 1 then go (k - 1) seen
+    else Alcotest.fail ("retransmits/data frames above 1% in every trial:" ^ seen)
+  in
+  go 3 ""
+
 let suite =
   [
+    ( "reliable.timers",
+      [
+        Alcotest.test_case "rto: first sample" `Quick rto_first_sample;
+        Alcotest.test_case "rto: smoothing" `Quick rto_smoothing;
+        Alcotest.test_case "rto: floor and cap" `Quick rto_clamps;
+        Alcotest.test_case "rto: backoff cap" `Quick rto_backoff;
+        Alcotest.test_case "karn: resent frames give no sample" `Quick karn_rule;
+        Alcotest.test_case "dedup set bounded after in-order traffic" `Quick
+          dedup_bounded;
+        Alcotest.test_case "lossless loopback: no spurious retransmits" `Quick
+          loopback_no_spurious_retransmits;
+      ] );
     ( "reliable",
       [
         Fixtures.qcheck_case prop_fault_schedules;

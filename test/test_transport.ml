@@ -167,6 +167,44 @@ module Conformance (B : BACKEND) = struct
     done;
     drain_empty net ~self:1
 
+  (* a frame sent 10 ms into a 5 s wait ends the wait on arrival: the
+     waiter is woken, not left to poll out its deadline *)
+  let deliver_late net =
+    Thread.create
+      (fun () ->
+        Unix.sleepf 0.01;
+        Transport.send net ~src:0 ~dest:1 (Bytes.of_string "wake"))
+      ()
+
+  let deadline_recv_wakes () =
+    with_backend (module B) 2 @@ fun net _ ->
+    let t0 = Clock.now () in
+    let sender = deliver_late net in
+    let got = Transport.recv_deadline net ~self:1 ~seconds:5.0 in
+    let dt = Clock.now () -. t0 in
+    Thread.join sender;
+    Alcotest.(check (option string))
+      "late arrival returned" (Some "wake")
+      (Option.map Bytes.to_string got);
+    Alcotest.(check bool) "woke well before the deadline" true (dt < 1.0)
+
+  (* [wait] may answer [false] early (a transport with timers to drive
+     returns to its caller), so the caller loops like a pool worker *)
+  let wait_wakes () =
+    with_backend (module B) 2 @@ fun net _ ->
+    let t0 = Clock.now () in
+    let sender = deliver_late net in
+    let rec go () =
+      Transport.wait net ~selves:[ 1 ] ~seconds:5.0
+      || (Clock.now () -. t0 < 5.0 && go ())
+    in
+    let woke = go () in
+    let dt = Clock.now () -. t0 in
+    Thread.join sender;
+    Alcotest.(check bool) "wait reported the arrival" true woke;
+    Alcotest.(check bool) "woke well before the deadline" true (dt < 1.0);
+    Alcotest.(check string) "arrival receivable" "wake" (recv_str net ~self:1)
+
   let suite =
     List.map
       (fun (name, f) -> Alcotest.test_case (B.label ^ ": " ^ name) `Quick f)
@@ -178,6 +216,8 @@ module Conformance (B : BACKEND) = struct
         ("batching flush accounting", batching_flush_accounting);
         ("deadline recv", deadline_recv);
         ("deadline recv races arrival", deadline_recv_race);
+        ("deadline recv wakes on arrival", deadline_recv_wakes);
+        ("wait wakes on arrival", wait_wakes);
       ]
 end
 
