@@ -326,11 +326,11 @@ let ablation_wire_introspect () =
 (* BENCH_wire.json: machine-readable zero-copy wire-path numbers       *)
 (* ------------------------------------------------------------------ *)
 
-(* One (workload, framing-mode) measurement: wall-clock ns per RMI plus
-   the allocation telemetry the zero-copy substitution is about. *)
+(* One (workload, transport) measurement: wall-clock ns per RMI plus
+   the zero-copy wire path's allocation telemetry. *)
 type wire_row = {
   wb_workload : string;  (* "chain100" / "matrix16x16" *)
-  wb_mode : string;  (* "<transport>/<framing>" *)
+  wb_mode : string;  (* "<transport>/zero-copy" *)
   wb_ns_per_op : float;
   wb_copied_per_call : float;  (* Metrics.bytes_copied delta / calls *)
   wb_minor_per_call : float;  (* Gc.minor_words delta / calls *)
@@ -366,10 +366,8 @@ let wire_measure ~calls (call, metrics) =
 let wire_modes =
   let base = Config.site_reuse_cycle in
   [
-    ("raw/legacy", Config.legacy_copy base);
-    ("raw/zero-copy", Config.with_zero_copy true base);
-    ("reliable/legacy", Config.legacy_copy (Config.with_reliable base));
-    ("reliable/zero-copy", Config.with_zero_copy true (Config.with_reliable base));
+    ("raw/zero-copy", base);
+    ("reliable/zero-copy", Config.with_reliable base);
   ]
 
 let wire_rows ~calls =
@@ -583,8 +581,8 @@ let () =
   in
   let wire_json_arg =
     let doc =
-      "Skip the bechamel suite: measure the Table 1/2 message shapes under \
-       legacy and zero-copy framing over raw and reliable links, and write \
+      "Skip the bechamel suite: measure the Table 1/2 message shapes on the \
+       zero-copy wire path over raw and reliable links, and write \
        the machine-readable rows (ns/op, copied bytes per call, minor words \
        per call, pool traffic) to $(docv)."
     in

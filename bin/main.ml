@@ -175,28 +175,34 @@ let wirecost_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:
             "Seed for the lossy fault schedule of the reliable+faults \
-             variant; both framings replay it deterministically.")
+             variant; the run replays it deterministically.")
   in
   let run calls window seed =
     let r = E.wirecost_compare ~calls ~window ~seed () in
     print_endline (E.render_wirecost r);
-    if not (r.E.u_frames_ok && r.E.u_results_ok && r.E.u_gate_ok) then begin
+    if
+      not
+        (r.E.u_frames_ok && r.E.u_copied_ok && r.E.u_results_ok
+       && r.E.u_gate_ok)
+    then begin
       prerr_endline
-        "wirecost: zero-copy framing drifted from the legacy frames, \
-         results diverged, or the copy reduction missed the 50% gate";
+        "wirecost: frames or copied bytes drifted from the pins, results \
+         diverged, or an enveloped row copied more than half of the \
+         copy-based framing's bytes per call";
       exit 1
     end
   in
   Cmd.v
     (Cmd.info "wirecost"
        ~doc:
-         "Compare the legacy copy-based wire framing against the zero-copy \
-          pooled framing on the paper-table message shapes, over raw, \
-          reliable, batched and seeded-lossy links.  Digests every physical \
-          frame to prove both framings byte-identical on the wire, and \
-          exits nonzero on any frame or result drift — or if the enveloped \
-          variants cut fewer than 50% of the copied bytes per call.  The \
-          CI bench-smoke job gates on this.")
+         "Run the paper-table message shapes over raw, reliable, batched \
+          and seeded-lossy links on the zero-copy wire path.  Digests every \
+          physical frame and exits nonzero if, for the pinned argument sets \
+          (the defaults, --calls 24 --window 8, --calls 24 --seed 1234), the \
+          frame stream or the copied bytes differ from the pins, if a result \
+          differs from the fault-free fold, or if an enveloped variant \
+          copies more than half the bytes per call of the retired \
+          copy-based framing.  The CI bench-smoke job gates on this.")
     Term.(const run $ wire_calls_arg $ Cli.window_arg $ wire_seed_arg)
 
 let alloc_cmd =

@@ -213,7 +213,7 @@ val tiers_compare :
 
 val render_tiers : tier_report -> string
 
-(** One framing mode of one wirecost variant (PR 5). *)
+(** One wirecost variant's run. *)
 type wire_run = {
   u_digest : string;
       (** chained MD5 over every physical frame, in transmit order,
@@ -226,36 +226,39 @@ type wire_run = {
   u_us_per_call : float;
 }
 
-(** One (workload, transport variant) pair, run under both framings. *)
+(** One (workload, transport variant) pair. *)
 type wire_row = {
   wr_workload : string;  (** "chain100" / "matrix16x16" *)
   wr_variant : string;
       (** "raw" / "reliable" / "reliable+batch" / "reliable+faults" *)
-  wr_legacy : wire_run;
-  wr_zc : wire_run;
-  wr_gated : bool;
-      (** enveloped variant: the >=50% copy-reduction gate applies *)
+  wr_run : wire_run;
+  wr_pin : (string * int) option;
+      (** pinned frame digest and total copied bytes, when these
+          arguments are one of the pinned sets *)
+  wr_bound : float option;
+      (** enveloped variant: at most this many copied bytes per call,
+          half of what the retired copy-based framing copied *)
 }
 
 type wire_report = {
   u_title : string;
   u_rows : wire_row list;
-  u_frames_ok : bool;  (** every row's frame digests identical *)
-  u_results_ok : bool;  (** every row's checksums identical *)
-  u_gate_ok : bool;  (** every gated row cut copied bytes >= 50% *)
+  u_pinned : bool;  (** these arguments have pins *)
+  u_frames_ok : bool;  (** every pinned row's frame digest matched *)
+  u_copied_ok : bool;  (** every pinned row's copied bytes matched *)
+  u_results_ok : bool;  (** every row's checksum is the fault-free fold *)
+  u_gate_ok : bool;  (** every bounded row stayed within its bound *)
 }
-
-(** Percent reduction in copied bytes per call, legacy -> zero-copy. *)
-val wire_reduction : wire_row -> float
 
 (** Run the paper-table message shapes (Table 1's 100-cell chain,
     Table 2's 16x16 double matrix) over raw, reliable, batched-reliable
-    and seeded-lossy-reliable links, each under the legacy copy-based
-    framing and the zero-copy framing.  Every physical frame is
-    digested on its way out (before the fault simulator), so
-    [u_frames_ok] proves the two framings byte-identical on the wire —
-    including under retransmission and batching — while
-    [u_copied_per_call] shows what the substitution saves. *)
+    and seeded-lossy-reliable links on the zero-copy wire path.  Every
+    physical frame is digested on its way out (before the fault
+    simulator).  For the argument sets CI runs (defaults;
+    [~calls:24 ~window:8]; [~calls:24 ~seed:1234]) the digests and
+    copied bytes must equal the values pinned when the copy-based
+    framing was retired; for any arguments each enveloped row must copy
+    at most half the bytes per call that framing did. *)
 val wirecost_compare :
   ?calls:int -> ?window:int -> ?seed:int -> unit -> wire_report
 

@@ -1,28 +1,34 @@
-(* The Reliable envelope layer as a transport adapter: the ARQ that
-   [Cluster] runs {e inside} the simulated interconnect, lifted into a
-   stackable layer over any {!Transport.t} — in practice the [Sock]
-   backend, whose TCP only guarantees delivery while a connection
-   lives.  Frames the kernel dropped with a severed connection, frames
-   a chaos injector swallowed, and whole machine kill/restarts are
-   recovered here exactly as the Sim backend recovers them: per-link
+(* The Reliable envelope layer: the one ARQ in the repository, a
+   stackable adapter over any {!Transport.t}.  Over the [Sim] backend
+   ([Cluster], a raw simulated interconnect) it recovers the seeded
+   fault simulator's drops, duplicates, reorders, corruptions and
+   crash/restarts; over the [Sock] backend it recovers what TCP alone
+   does not — frames lost with a severed connection, frames a chaos
+   injector swallowed, and whole machine kill/restarts.  Per-link
    sequence numbers and checksums in an {!Envelope}, acks for every
    data frame, duplicate suppression (at-most-once up), retransmission
-   on RFC 6298 timers, heartbeat-driven Alive/Suspect/Down, and epoch
-   fencing of dead incarnations.
+   with backoff, heartbeat-driven Alive/Suspect/Down, and epoch fencing
+   of dead incarnations.
 
-   Two clocks.  Retransmit timers run on the monotonic clock: a real
-   transport's round trip is a wall-time quantity, and a timer counted
-   in {!idle} calls fires as often as the caller happens to poll, so a
-   busy waiter would resend frames whose acks are only a few hundred
-   microseconds away.  The failure detector stays on
-   the shared {!idle} tick, whose [Transport.hb_params] it shares with
-   [Cluster]; [Cluster]'s own ARQ keeps its deterministic tick clock.
+   Two retransmit timer policies, picked by the lower transport
+   ({!Transport.S.idle_clock}):
+   - [Ticks] (Sim): timers count {!idle} calls.  In the synchronous
+     fabric those calls are deterministic, so a lossy run, its
+     retransmits included, replays byte for byte from the fault seed.
+     The first RTO is 2 ticks, doubling to 32; a frame is abandoned
+     after 12 transmissions.
+   - [Monotonic] (Sock): per-link RFC 6298 timers on the monotonic
+     clock ({!Rto}).  A real round trip is a wall-time quantity, and a
+     timer counted in idle calls fires as often as the caller happens
+     to poll, so a busy waiter would resend frames whose acks are only
+     a few hundred microseconds away.
+   The failure detector runs on the shared idle tick under both.
 
    All control traffic (envelopes carrying retransmits, acks,
    heartbeats) leaves through the lower transport's [send_raw], so the
    logical counters ([msgs_sent]/[bytes_sent]) are charged once, here,
-   with the payload — byte-identical accounting to [Cluster]'s
-   [Reliable] mode. *)
+   with the payload — byte-identical accounting to the raw
+   transport. *)
 
 module Msgbuf = Rmi_wire.Msgbuf
 module Protocol = Rmi_wire.Protocol
@@ -73,7 +79,18 @@ module Rto = struct
   let backoff rto_ns = min cap_ns (2 * rto_ns)
 end
 
-(* what [self] believes about [peer] (same cell as Cluster's) *)
+(* the retransmit timeout over an idle-clock backend, in idle ticks *)
+module Ticks = struct
+  let initial = 2
+  let cap = 32
+  let max_attempts = 12
+  let backoff rto = min cap (2 * rto)
+end
+
+type timers = Ticks | Monotonic
+
+(* what [self] believes about [peer]: when it last heard anything, how
+   it is classified, and the highest incarnation seen (the fence) *)
 type det_cell = {
   mutable last_heard : int;
   mutable last_ping : int;
@@ -81,14 +98,15 @@ type det_cell = {
   mutable known_epoch : int;
 }
 
-(* a sent-but-unacknowledged data frame; times in monotonic ns *)
+(* a sent-but-unacknowledged data frame; times in the timer policy's
+   unit (idle ticks or monotonic ns) *)
 type pending = {
   frame : bytes;
   epoch : int;  (* the sender's incarnation stamped on [frame] *)
-  sent_ns : int;  (* first transmission *)
+  sent : int;  (* first transmission *)
   mutable attempts : int;
-  mutable rto_ns : int;
-  mutable due_ns : int;
+  mutable rto : int;
+  mutable due : int;
 }
 
 type link_tx = {
@@ -125,6 +143,7 @@ module M = struct
   type t = {
     lower : Transport.t;
     n : int;
+    timers : timers;
     tx : link_tx array array;   (* tx.(src).(dest) *)
     rx : link_rx array array;   (* rx.(self).(src) *)
     det : det_cell array array; (* det.(self).(peer) *)
@@ -143,7 +162,7 @@ module M = struct
   let name = "reliable"
   let size t = t.n
   let metrics t = Transport.metrics t.lower
-  let zero_copy t = Transport.zero_copy t.lower
+  let idle_clock t = Transport.idle_clock t.lower
   let pool t = Transport.pool t.lower
   let is_reliable _ = true
   let is_hosted t m = Transport.is_hosted t.lower m
@@ -170,17 +189,18 @@ module M = struct
         in
         Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start))
 
-  let register_unacked ~lseq ~ltx ~epoch envelope =
-    let now = Clock.now_ns () in
+  (* the current time in the timer policy's unit; with [t.lock] held *)
+  let now t =
+    match t.timers with Ticks -> t.tick | Monotonic -> Clock.now_ns ()
+
+  (* with [t.lock] held *)
+  let register_unacked t ~lseq ~ltx ~epoch envelope =
+    let now = now t in
+    let rto =
+      match t.timers with Ticks -> Ticks.initial | Monotonic -> ltx.est.Rto.rto
+    in
     Hashtbl.replace ltx.unacked lseq
-      {
-        frame = envelope;
-        epoch;
-        sent_ns = now;
-        attempts = 1;
-        rto_ns = ltx.est.Rto.rto;
-        due_ns = now + ltx.est.Rto.rto;
-      }
+      { frame = envelope; epoch; sent = now; attempts = 1; rto; due = now + rto }
 
   (* envelope a payload already materialized as bytes: one blit into a
      pooled writer plus the single frame snapshot shared by the lower
@@ -201,7 +221,7 @@ module M = struct
             Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start)
           in
           charge t (Bytes.length frame + Bytes.length envelope);
-          register_unacked ~lseq ~ltx ~epoch envelope;
+          register_unacked t ~lseq ~ltx ~epoch envelope;
           Mutex.unlock t.lock;
           envelope)
     in
@@ -222,7 +242,7 @@ module M = struct
     in
     let envelope = Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start) in
     charge t (Bytes.length envelope);
-    register_unacked ~lseq ~ltx ~epoch envelope;
+    register_unacked t ~lseq ~ltx ~epoch envelope;
     Mutex.unlock t.lock;
     Transport.send_raw t.lower ~src ~dest envelope
 
@@ -341,6 +361,11 @@ module M = struct
   let filter_frame t ~self (buf, off, len) =
     match Envelope.decode_slice buf ~off ~len with
     | None -> None
+    | Some ({ Envelope.src; _ }, _) when src < 0 || src >= t.n ->
+        (* checksum-valid but naming no machine of this cluster: no
+           link state to charge it to and no one to ack *)
+        Metrics.incr_bad_src_drops (metrics t);
+        None
     | Some ({ Envelope.kind; src; epoch; lseq }, (poff, plen)) ->
         Mutex.lock t.lock;
         let d = t.det.(self).(src) in
@@ -378,7 +403,6 @@ module M = struct
               end;
               None
           | Envelope.Ack ->
-              let now = Clock.now_ns () in
               Mutex.lock t.lock;
               let ltx = t.tx.(self).(src) in
               (match Hashtbl.find_opt ltx.unacked lseq with
@@ -386,8 +410,8 @@ module M = struct
                   Hashtbl.remove ltx.unacked lseq;
                   (* Karn's rule: the ack of a resent frame may answer
                      any of its copies, so it measures nothing *)
-                  if p.attempts = 1 then
-                    ltx.est <- Rto.sample ltx.est ~rtt_ns:(now - p.sent_ns)
+                  if t.timers = Monotonic && p.attempts = 1 then
+                    ltx.est <- Rto.sample ltx.est ~rtt_ns:(now t - p.sent)
               | None -> ());
               Mutex.unlock t.lock;
               None
@@ -455,9 +479,9 @@ module M = struct
   (* the retransmit timers and the failure-detector tick               *)
   (* ---------------------------------------------------------------- *)
 
-  (* sweep the detector on the shared tick (covers every observer, like
-     Cluster's: in Sync mode one machine drives everyone's timers);
-     with [t.lock] held *)
+  (* sweep the detector on the shared tick, covering every observer:
+     in Sync mode one machine drives everyone's timers; with [t.lock]
+     held *)
   let detector_sweep t =
     let pings = ref [] in
     let events = ref [] in
@@ -501,14 +525,36 @@ module M = struct
       t.det;
     (List.rev !pings, List.rev !events)
 
+  (* whether [p], due again, is given up instead of resent; [epoch] is
+     its sender's current incarnation *)
+  let abandon t p ~now ~epoch =
+    match t.timers with
+    | Ticks -> p.attempts >= Ticks.max_attempts
+    | Monotonic ->
+        (p.attempts >= Rto.max_attempts && now - p.sent >= Rto.give_up_ns)
+        (* stamped by an incarnation of [src] that has since died:
+           every peer fences it, so no ack will come *)
+        || p.epoch < epoch
+
+  let backoff t rto =
+    match t.timers with Ticks -> Ticks.backoff rto | Monotonic -> Rto.backoff rto
+
+  (* under tick timers, frames the simulator's fault schedule holds
+     back for reordering are still in flight: the next transmission
+     releases them *)
+  let nothing_held t =
+    match (t.timers, Transport.faults t.lower) with
+    | Ticks, Some sim -> Fault_sim.held_frames sim = 0
+    | _ -> true
+
   let idle t ~self =
     check t self;
     (* the lower transport first: a chaos injector drains its due
        connection actions and crash transitions there *)
     ignore (Transport.idle t.lower ~self : Transport.idle_outcome);
-    let now = Clock.now_ns () in
     Mutex.lock t.lock;
     t.tick <- t.tick + 1;
+    let now = now t in
     let resend = ref [] in
     let gave_up = ref [] in
     let unacked = ref 0 in
@@ -520,18 +566,12 @@ module M = struct
             let expired = ref [] in
             Hashtbl.iter
               (fun lseq p ->
-                if p.due_ns > now then incr unacked
-                else if
-                  (p.attempts >= Rto.max_attempts
-                  && now - p.sent_ns >= Rto.give_up_ns)
-                  (* stamped by an incarnation of [src] that has since
-                     died: every peer fences it, so no ack will come *)
-                  || p.epoch < epoch
-                then expired := lseq :: !expired
+                if p.due > now then incr unacked
+                else if abandon t p ~now ~epoch then expired := lseq :: !expired
                 else begin
                   p.attempts <- p.attempts + 1;
-                  p.rto_ns <- Rto.backoff p.rto_ns;
-                  p.due_ns <- now + p.rto_ns;
+                  p.rto <- backoff t p.rto;
+                  p.due <- now + p.rto;
                   incr unacked;
                   resend := (src, dest, p.frame) :: !resend
                 end)
@@ -568,7 +608,8 @@ module M = struct
       events;
     if !gave_up <> [] then Transport.Gave_up (List.sort_uniq compare !gave_up)
     else if !resend <> [] then Transport.Retransmitted (List.length !resend)
-    else if !unacked = 0 && not (pending_anywhere t) then Transport.Dead
+    else if !unacked = 0 && nothing_held t && not (pending_anywhere t) then
+      Transport.Dead
     else Transport.Waiting
 
   let inbox_queued t m =
@@ -577,7 +618,8 @@ module M = struct
     Mutex.unlock t.imutex.(m);
     any
 
-  (* the earliest retransmit deadline on links out of [selves] *)
+  (* the earliest retransmit deadline on links out of [selves]
+     (monotonic ns) *)
   let next_due_ns t selves =
     Mutex.lock t.lock;
     let due =
@@ -585,7 +627,7 @@ module M = struct
         (fun acc src ->
           Array.fold_left
             (fun acc ltx ->
-              Hashtbl.fold (fun _ p acc -> min acc p.due_ns) ltx.unacked acc)
+              Hashtbl.fold (fun _ p acc -> min acc p.due) ltx.unacked acc)
             acc t.tx.(src))
         max_int selves
     in
@@ -595,16 +637,21 @@ module M = struct
   (* sleep in the lower transport until an arrival, or until the next
      of our timers falls due and [idle] has a frame to resend.  Frames
      already queued win over a due timer: one of them may be the ack
-     that cancels it. *)
+     that cancels it.  Tick timers have no wall-time deadline; an
+     idle-clock backend's own wait is short enough to keep them
+     ticking. *)
   let wait t ~selves ~seconds =
     List.iter (check t) selves;
     List.exists (inbox_queued t) selves
     ||
-    let until_due =
-      float_of_int (next_due_ns t selves - Clock.now_ns ()) *. 1e-9
-    in
-    Transport.wait t.lower ~selves
-      ~seconds:(Float.max 0.0 (Float.min seconds until_due))
+    match t.timers with
+    | Ticks -> Transport.wait t.lower ~selves ~seconds
+    | Monotonic ->
+        let until_due =
+          float_of_int (next_due_ns t selves - Clock.now_ns ()) *. 1e-9
+        in
+        Transport.wait t.lower ~selves
+          ~seconds:(Float.max 0.0 (Float.min seconds until_due))
 
   let recv_blocking_slice t ~self =
     check t self;
@@ -658,7 +705,7 @@ include M
 (* a machine just crashed: everything it held in flight dies with it —
    unpacked-batch inbox, unflushed batch buffers, link send state and
    dedup memory.  Peers' state about it survives (their retransmit
-   timers are the recovery path).  Mirrors Cluster.wipe_machine. *)
+   timers are the recovery path). *)
 let wipe_machine (t : M.t) m =
   Mutex.lock t.M.imutex.(m);
   Queue.clear t.M.inbox.(m);
@@ -686,6 +733,7 @@ let wrap_t lower =
     {
       M.lower;
       n;
+      timers = (if Transport.idle_clock lower then Ticks else Monotonic);
       tx =
         Array.init n (fun _ ->
             Array.init n (fun _ ->

@@ -1,29 +1,38 @@
-(** The Reliable envelope layer as a stackable transport adapter.
+(** The Reliable envelope layer: the repository's one ARQ, as a
+    stackable transport adapter.
 
     [wrap lower] returns a transport that speaks {!Envelope} frames
     over [lower]'s raw wire ({!Transport.S.send_raw}): per-link
     sequence numbers, acks, duplicate suppression, retransmission,
-    heartbeat-driven Alive/Suspect/Down and epoch fencing — the ARQ the
-    [Cluster] backend runs in [Reliable] mode, lifted out so the [Sock]
-    backend gets the same exactly-once guarantees over real TCP.
+    heartbeat-driven Alive/Suspect/Down and epoch fencing.
+    [Fabric.create] stacks it on the raw simulated [Cluster] and on the
+    [Sock] backend alike, so both get the same exactly-once guarantees
+    from the same code.
 
-    Retransmit timers run on the monotonic clock ({!Clock}): each link
-    keeps an RFC 6298 round-trip estimator ({!Rto}), each unacked frame
-    its send time and due time, and {!Transport.S.idle} resends the
-    frames that are due.  The failure detector counts {!Transport.S.idle}
-    ticks, as [Cluster]'s does.  {!Transport.S.wait} sleeps in the lower
-    transport until an arrival or the next due timer.
+    Retransmit timers follow one of two policies, picked by [lower]'s
+    {!Transport.S.idle_clock}:
+    - over an idle-clock backend (the simulator) they count
+      {!Transport.S.idle} ticks ({!Ticks}), so a seeded lossy run
+      replays exactly;
+    - otherwise they run on the monotonic clock ({!Clock}): each link
+      keeps an RFC 6298 round-trip estimator ({!Rto}), each unacked
+      frame its send time and due time.
+    {!Transport.S.idle} resends the frames that are due.  The failure
+    detector counts idle ticks under both.  {!Transport.S.wait} sleeps
+    in the lower transport until an arrival or, on monotonic timers,
+    the next due timer.
 
     The adapter keeps its own link state, batcher and failure
     detector; it delegates the physical layer (fault schedules, chaos
     injection, epochs, process events, shutdown) to [lower].  On a
     [Proc_crashed] event from [lower], the crashed machine's in-flight
-    ARQ state is wiped before runtime-level hooks run, mirroring
-    [Cluster.wipe_machine].
+    ARQ state is wiped before runtime-level hooks run.  A checksum-valid
+    frame naming a machine outside [0..n-1] is dropped and counted as
+    [bad_src_drops].
 
-    Accounting matches [Cluster]'s [Reliable] mode: logical counters
-    charge the payload once at the adapter; envelope and control
-    frames ride [lower]'s [send_raw], which charges nothing. *)
+    Accounting matches the raw transport: logical counters charge the
+    payload once at the adapter; envelope and control frames ride
+    [lower]'s [send_raw], which charges nothing. *)
 
 (** The retransmission timeout: every timer constant and the RFC 6298
     estimator, as pure functions over nanoseconds. *)
@@ -60,6 +69,19 @@ module Rto : sig
   (** The timeout after one more unanswered transmission: doubled,
       capped at [cap_ns]. *)
   val backoff : int -> int
+end
+
+(** The retransmission timeout over an idle-clock backend
+    ({!Transport.S.idle_clock}), in idle ticks. *)
+module Ticks : sig
+  (** 2: the RTO of a frame's first transmission. *)
+  val initial : int
+
+  (** 32: backoff doubles the RTO up to this. *)
+  val cap : int
+
+  (** 12: then the frame is abandoned ([timeouts]). *)
+  val max_attempts : int
 end
 
 type t

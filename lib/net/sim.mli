@@ -7,11 +7,8 @@ module Backend : Transport.S with type t = Cluster.t
 (** Erase an existing cluster into a transport. *)
 val pack : Cluster.t -> Transport.t
 
-(** [create ?transport ?zero_copy ~n metrics] is {!Cluster.create}
-    followed by {!pack}. *)
+(** [create ?transport ~n metrics] is {!Cluster.create} followed by
+    {!pack}: the raw simulated interconnect.  For reliable delivery
+    stack {!Reliable.wrap} on it. *)
 val create :
-  ?transport:Cluster.transport ->
-  ?zero_copy:bool ->
-  n:int ->
-  Rmi_stats.Metrics.t ->
-  Transport.t
+  ?transport:Cluster.transport -> n:int -> Rmi_stats.Metrics.t -> Transport.t

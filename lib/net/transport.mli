@@ -3,8 +3,8 @@
     fabric and a real socket fabric are interchangeable backends.
 
     A backend implements {!S} — creation is backend-specific (the
-    simulated {!Cluster} takes a link discipline and a machine count, a
-    {!Sock} fabric takes addresses), so [S] covers an already-created
+    simulated {!Cluster} takes a machine count, a {!Sock} fabric takes
+    addresses), so [S] covers an already-created
     instance: the send family, the slice-receive family, batching, the
     idle/retransmit clock, fault hooks and peer health.  {!pack} erases
     the backend into the first-class {!t} that {!Rmi_runtime.Fabric},
@@ -85,9 +85,12 @@ module type S = sig
   val size : t -> int
   val metrics : t -> Rmi_stats.Metrics.t
 
-  (** Whether the backend runs the zero-copy wire path (gap-reserved
-      pooled writers framed in place). *)
-  val zero_copy : t -> bool
+  (** Whether the backend's time is the idle tick and the simulator's
+      frame clock rather than wall time.  A reliability layer stacked
+      above then counts its retransmit timers in {!idle} ticks, so a
+      run replays exactly from its fault seed; otherwise it runs them
+      on the monotonic clock. *)
+  val idle_clock : t -> bool
 
   (** The shared writer/reader free-list pool. *)
   val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
@@ -211,7 +214,7 @@ val pack : (module S with type t = 'a) -> 'a -> t
 val name : t -> string
 val size : t -> int
 val metrics : t -> Rmi_stats.Metrics.t
-val zero_copy : t -> bool
+val idle_clock : t -> bool
 val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
 val is_reliable : t -> bool
 val is_hosted : t -> int -> bool

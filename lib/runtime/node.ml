@@ -206,43 +206,29 @@ let metrics t = Rmi_net.Transport.metrics t.net
 (* zero-copy plumbing (PR 5)                                           *)
 (* ------------------------------------------------------------------ *)
 
-let zc t = Rmi_net.Transport.zero_copy t.net
 let node_pool t = Rmi_net.Transport.pool t.net
 let gap = Rmi_net.Envelope.gap
 let charge t n = Metrics.add_bytes_copied (metrics t) n
 
-(* a writer positioned for the framing mode: pooled with the envelope
-   gap reserved under zero-copy (so the reliable transport can
-   back-fill its header in place), a fresh throwaway one otherwise *)
-let acquire_msg_writer ?(initial_capacity = 512) t =
-  if zc t then begin
-    let w = Msgbuf.Pool.acquire_writer (node_pool t) in
-    ignore (Msgbuf.reserve w gap : int);
-    w
-  end
-  else Msgbuf.create_writer ~initial_capacity ()
+(* a pooled writer with the envelope gap reserved, so the reliable
+   transport can back-fill its header in place *)
+let acquire_msg_writer t =
+  let w = Msgbuf.Pool.acquire_writer (node_pool t) in
+  ignore (Msgbuf.reserve w gap : int);
+  w
 
-let release_msg_writer t w =
-  if zc t then Msgbuf.Pool.release_writer (node_pool t) w
+let release_msg_writer t w = Msgbuf.Pool.release_writer (node_pool t) w
 
-(* the logical message sitting in [w] (after the gap in zc mode),
-   snapshotted; every such materialization is a physical payload copy
-   and is charged to [bytes_copied] in both framing modes *)
+(* the logical message sitting in [w] after the gap, snapshotted; every
+   such materialization is a physical payload copy and is charged to
+   [bytes_copied] *)
 let msg_of_writer t w =
-  if zc t then begin
-    let len = Msgbuf.length w - gap in
-    let msg = Msgbuf.sub w ~off:gap ~len in
-    charge t len;
-    msg
-  end
-  else begin
-    let msg = Msgbuf.contents w in
-    charge t (Bytes.length msg);
-    msg
-  end
+  let len = Msgbuf.length w - gap in
+  let msg = Msgbuf.sub w ~off:gap ~len in
+  charge t len;
+  msg
 
-let reader_of_msg_writer t w =
-  Msgbuf.reader_of_writer ~off:(if zc t then gap else 0) w
+let reader_of_msg_writer w = Msgbuf.reader_of_writer ~off:gap w
 
 (* ------------------------------------------------------------------ *)
 (* plan selection and effective optimization flags                     *)
@@ -478,37 +464,31 @@ let restore_ret_cand t ~callsite v = Hashtbl.replace t.ret_caches callsite v
    attached, so the deoptimizer knows what to widen *)
 exception Arg_confusion of int * string
 
-(* the plan's cached write context (zc mode), reset under the Codec
-   discipline before each use; a fresh context per call otherwise *)
+(* the plan's cached write context, reset under the Codec discipline
+   before each use *)
 let wctx_for t cp ~cycle =
-  if not (zc t) then
-    Codec.make_wctx ~defs:cp.cp_plan.Plan.defs t.meta (metrics t) ~cycle
-  else
-    match cp.cp_wctx with
-    | Some (c, wctx) when c = cycle ->
-        Codec.reset_wctx wctx;
-        wctx
-    | _ ->
-        let wctx =
-          Codec.make_wctx ~defs:cp.cp_plan.Plan.defs t.meta (metrics t) ~cycle
-        in
-        cp.cp_wctx <- Some (cycle, wctx);
-        wctx
+  match cp.cp_wctx with
+  | Some (c, wctx) when c = cycle ->
+      Codec.reset_wctx wctx;
+      wctx
+  | _ ->
+      let wctx =
+        Codec.make_wctx ~defs:cp.cp_plan.Plan.defs t.meta (metrics t) ~cycle
+      in
+      cp.cp_wctx <- Some (cycle, wctx);
+      wctx
 
 let rctx_for t cp ~cycle =
-  if not (zc t) then
-    Codec.make_rctx ~defs:cp.cp_plan.Plan.defs t.meta (metrics t) ~cycle
-  else
-    match cp.cp_rctx with
-    | Some (c, rctx) when c = cycle ->
-        Codec.reset_rctx rctx;
-        rctx
-    | _ ->
-        let rctx =
-          Codec.make_rctx ~defs:cp.cp_plan.Plan.defs t.meta (metrics t) ~cycle
-        in
-        cp.cp_rctx <- Some (cycle, rctx);
-        rctx
+  match cp.cp_rctx with
+  | Some (c, rctx) when c = cycle ->
+      Codec.reset_rctx rctx;
+      rctx
+  | _ ->
+      let rctx =
+        Codec.make_rctx ~defs:cp.cp_plan.Plan.defs t.meta (metrics t) ~cycle
+      in
+      cp.cp_rctx <- Some (cycle, rctx);
+      rctx
 
 (* Arena decoding applies when the knob is on, the plan's escape
    analysis proved no served argument outlives its dispatch, and
@@ -627,7 +607,7 @@ let unmarshal_args t cp ~callsite r =
 
 let marshal_ret t cp header ret =
   let plan = cp.cp_plan in
-  let w = acquire_msg_writer ~initial_capacity:256 t in
+  let w = acquire_msg_writer t in
   try
     match (cp.cp_write_ret, ret) with
     | None, _ ->
@@ -729,12 +709,12 @@ let send_msg t ~dest payload =
 (* ship the message sitting in [w] (built by [acquire_msg_writer]).
    [snapshot] is the message already materialized by the caller (the
    retry copy of a request, a reply-cache entry) so paths that need
-   bytes anyway never copy twice.  In zero-copy mode without batching,
-   the reliable transport frames the writer's payload in place
-   ([Cluster.send_writer]); under the raw transport the one snapshot
+   bytes anyway never copy twice.  Without batching, the reliable
+   transport frames the writer's payload in place
+   ([Transport.send_writer]); under the raw transport the one snapshot
    doubles as the wire frame. *)
 let send_from_writer t ~dest ?snapshot w =
-  if (not (zc t)) || Rmi_net.Transport.batching_enabled t.net then
+  if Rmi_net.Transport.batching_enabled t.net then
     let msg =
       match snapshot with Some m -> m | None -> msg_of_writer t w
     in
@@ -1006,23 +986,28 @@ let serve_request t (hdr : Protocol.header) r =
             release_msg_writer t reply)
   end
 
-(* [msg] is a slice of the received frame — under zero-copy framing an
-   envelope payload or batch sub-message is read where it landed, never
-   copied out first; readers over it come from the cluster pool *)
+(* a header naming a machine outside the cluster has no reply address
+   either (over Sock in process mode these bytes come from another
+   process): counted, and the message dropped *)
+let bad_src t (hdr : Protocol.header) =
+  let bad = hdr.src < 0 || hdr.src >= Rmi_net.Transport.size t.net in
+  if bad then Metrics.incr_bad_src_drops (metrics t);
+  bad
+
+(* [msg] is a slice of the received frame — an envelope payload or
+   batch sub-message is read where it landed, never copied out first;
+   readers over it come from the cluster pool *)
 let dispatch t (buf, off, len) k =
-  let pooled = zc t in
-  let r =
-    if pooled then Msgbuf.Pool.acquire_reader (node_pool t) ~off ~len buf
-    else Msgbuf.reader_of_bytes ~off ~len buf
-  in
-  let release () =
-    if pooled then Msgbuf.Pool.release_reader (node_pool t) r
-  in
+  let r = Msgbuf.Pool.acquire_reader (node_pool t) ~off ~len buf in
+  let release () = Msgbuf.Pool.release_reader (node_pool t) r in
   match Protocol.read_header r with
   | exception Msgbuf.Underflow _ ->
       (* a message whose header cannot be parsed has no reply address:
          drop it; a synchronous caller sees quiescence (Deadlock), a
          parallel one its own timeout *)
+      release ();
+      k `Served
+  | hdr when bad_src t hdr ->
       release ();
       k `Served
   | hdr -> (
@@ -1065,12 +1050,14 @@ let serve_slice t msg =
    re-send.  Called from the pool's intake before the request payload
    is ever decoded. *)
 let send_reject t (hdr : Protocol.header) =
-  Metrics.incr_queue_rejects (metrics t);
-  let w = acquire_msg_writer t in
-  Protocol.write_header w { hdr with Protocol.kind = Protocol.Reject };
-  send_from_writer t ~dest:hdr.Protocol.src w;
-  release_msg_writer t w;
-  flush_self t
+  if not (bad_src t hdr) then begin
+    Metrics.incr_queue_rejects (metrics t);
+    let w = acquire_msg_writer t in
+    Protocol.write_header w { hdr with Protocol.kind = Protocol.Reject };
+    send_from_writer t ~dest:hdr.Protocol.src w;
+    release_msg_writer t w;
+    flush_self t
+  end
 
 let serve_loop t =
   t.shutdown <- false;
@@ -1378,7 +1365,7 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
         Fun.protect
           ~finally:(fun () -> release_msg_writer t w)
           (fun () ->
-            let r = reader_of_msg_writer t w in
+            let r = reader_of_msg_writer w in
             let (_ : Protocol.header) = Protocol.read_header r in
             let entry =
               match find_handler t (dest.Remote_ref.obj, meth) with
@@ -1395,7 +1382,7 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
             Fun.protect
               ~finally:(fun () -> release_msg_writer t wr)
               (fun () ->
-                let rr = reader_of_msg_writer t wr in
+                let rr = reader_of_msg_writer wr in
                 let rhdr = Protocol.read_header rr in
                 unmarshal_ret t p.pc_cp ~callsite rhdr rr))
       with

@@ -164,7 +164,8 @@ val serve_slice : t -> bytes * int * int -> unit
 (** [send_reject t hdr] answers [hdr]'s sender with a [Reject] frame
     echoing the sequence number — the admission-control refusal the
     dispatch pool issues when a node's request queue is full.  The
-    request must not have been executed. *)
+    request must not have been executed.  A header naming a machine
+    outside the cluster is dropped and counted as [bad_src_drops]. *)
 val send_reject : t -> Rmi_wire.Protocol.header -> unit
 
 (** Serve until a shutdown message arrives (worker-domain main loop). *)

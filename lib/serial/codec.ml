@@ -129,17 +129,13 @@ let alloc_rarr rctx relem n =
   a
 
 (* Reject corrupt/hostile lengths before allocating: every element
-   needs at least [unit] bytes of payload still in the buffer.  Plans
-   can legitimately encode elements in zero bytes (statically-null
-   element steps), in which case only an absolute cap applies. *)
-let max_zero_width_len = 1 lsl 24
-
+   needs at least [unit] bytes of payload still in the buffer, and at
+   least one even when its step encodes it in zero bytes (those carry
+   a filler byte, see [write_filler]), so a length can never ask for
+   more elements than the input has bytes left. *)
 let checked_len r n ~unit what =
   let bad =
-    n < 0
-    ||
-    if unit = 0 then n > max_zero_width_len
-    else n > Msgbuf.remaining r / unit (* division avoids overflow *)
+    n < 0 || n > Msgbuf.remaining r / max unit 1 (* division avoids overflow *)
   in
   if bad then raise (Msgbuf.Underflow (Printf.sprintf "%s: bad length %d" what n));
   n
@@ -332,6 +328,24 @@ let confusion what v =
           | Value.Iarr _ -> "int[]"
           | Value.Rarr _ -> "object[]")))
 
+(* The elements of an array that take no wire bytes of their own (the
+   rows of a zero-column matrix, the elements under a statically-null
+   element step) are followed by one zero filler byte each.  Without it
+   a few header bytes could decode into an arbitrarily large array;
+   with it every decoded element is paid for by an input byte, which
+   is what [checked_len] requires. *)
+let write_filler w ~width n =
+  if width = 0 then
+    for _ = 1 to n do
+      Msgbuf.write_u8 w 0
+    done
+
+let read_filler r ~width n =
+  if width = 0 then
+    for _ = 1 to n do
+      if Msgbuf.read_u8 r <> 0 then raise (Msgbuf.Underflow "bad filler byte")
+    done
+
 (* write the 0/1/2 marker; returns true when the body must follow *)
 let write_ref_marker wctx w v =
   match v with
@@ -372,7 +386,8 @@ let write_flat _wctx w (felem : Plan.flat_elem) (a : Value.rarr) =
         | Value.Darr r when Array.length r.Value.d = cols ->
             Msgbuf.write_double_slice w r.Value.d 0 cols
         | v -> confusion "S_flat_array(double) row" v
-      done
+      done;
+      write_filler w ~width:cols rows
   | Plan.F_iarr ->
       let cols =
         if rows = 0 then 0
@@ -387,7 +402,8 @@ let write_flat _wctx w (felem : Plan.flat_elem) (a : Value.rarr) =
         | Value.Iarr r when Array.length r.Value.ia = cols ->
             Msgbuf.write_int_slice w r.Value.ia 0 cols
         | v -> confusion "S_flat_array(int) row" v
-      done
+      done;
+      write_filler w ~width:cols rows
 
 let rec write_step wctx w (step : Plan.step) (v : Value.t) =
   match (step, v) with
@@ -429,7 +445,8 @@ let rec write_step wctx w (step : Plan.step) (v : Value.t) =
         match v with
         | Value.Rarr a ->
             Msgbuf.write_uvarint w (Array.length a.ra);
-            Array.iter (write_step wctx w elem) a.ra
+            Array.iter (write_step wctx w elem) a.ra;
+            write_filler w ~width:(step_min_width elem) (Array.length a.ra)
         | _ -> confusion "S_obj_array" v
       end
   | Plan.S_flat_array { felem }, v ->
@@ -469,8 +486,8 @@ let flat_elem_ty = function
    allocators below pop them back out), and reusing them in place as
    well would alias one node into two roles. *)
 let read_flat rctx r (felem : Plan.flat_elem) ~(cand : Value.t) : Value.t =
-  let rows = checked_len r (Msgbuf.read_uvarint r) ~unit:0 "flat[][] rows" in
-  let cols = checked_len r (Msgbuf.read_uvarint r) ~unit:0 "flat[][] cols" in
+  let rows = checked_len r (Msgbuf.read_uvarint r) ~unit:1 "flat[][] rows" in
+  let cols = checked_len r (Msgbuf.read_uvarint r) ~unit:1 "flat[][] cols" in
   let unit = match felem with Plan.F_darr -> 8 | Plan.F_iarr -> 1 in
   (* one bounds check for the whole matrix *)
   if cols > 0 && rows > Msgbuf.remaining r / (cols * unit) then
@@ -513,6 +530,7 @@ let read_flat rctx r (felem : Plan.flat_elem) ~(cand : Value.t) : Value.t =
         Msgbuf.read_int_slice r row.Value.ia 0 cols;
         target.Value.ra.(i) <- Value.Iarr row
       done);
+  read_filler r ~width:cols rows;
   Value.Rarr target
 
 let read_ref_marker rctx r =
@@ -618,6 +636,7 @@ let rec read_step rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
             in
             target.ra.(i) <- read_step rctx r elem ~cand:ec
           done;
+          read_filler r ~width:(step_min_width elem) n;
           Value.Rarr target)
   | Plan.S_flat_array { felem } -> (
       match read_ref_marker rctx r with
@@ -699,12 +718,14 @@ let rec compile_write_in cache ~defs (step : Plan.step) :
           | v -> confusion "S_int_array" v)
   | Plan.S_obj_array { elem } ->
       let compiled_elem = compile_write_in cache ~defs elem in
+      let width = step_min_width elem in
       fun wctx w v ->
         if write_ref_marker wctx w v then begin
           match v with
           | Value.Rarr a ->
               Msgbuf.write_uvarint w (Array.length a.ra);
-              Array.iter (compiled_elem wctx w) a.ra
+              Array.iter (compiled_elem wctx w) a.ra;
+              write_filler w ~width (Array.length a.ra)
           | v -> confusion "S_obj_array" v
         end
   | Plan.S_flat_array { felem } -> (
@@ -806,15 +827,13 @@ let rec compile_read_in cache ~defs (step : Plan.step) :
   | Plan.S_obj_array { elem } ->
       let compiled_elem = compile_read_in cache ~defs elem in
       let elem_ty = ty_of_step elem in
+      let width = step_min_width elem in
       fun rctx r ~cand -> (
         match read_ref_marker rctx r with
         | `Null -> Value.Null
         | `Handle v -> v
         | `Inline ->
-            let n =
-              checked_len r (Msgbuf.read_uvarint r) ~unit:(step_min_width elem)
-                "object[]"
-            in
+            let n = checked_len r (Msgbuf.read_uvarint r) ~unit:width "object[]" in
             let target, cand_elems =
               match cand with
               | Value.Rarr a when Array.length a.ra = n ->
@@ -829,6 +848,7 @@ let rec compile_read_in cache ~defs (step : Plan.step) :
               in
               target.ra.(i) <- compiled_elem rctx r ~cand:ec
             done;
+            read_filler r ~width n;
             Value.Rarr target)
   | Plan.S_flat_array { felem } -> (
       fun rctx r ~cand ->

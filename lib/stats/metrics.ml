@@ -77,6 +77,7 @@ type t = {
   restarts : int Atomic.t;
   heartbeats_sent : int Atomic.t;
   stale_drops : int Atomic.t;
+  bad_src_drops : int Atomic.t;
   suspects : int Atomic.t;
   peer_downs : int Atomic.t;
   call_retries : int Atomic.t;
@@ -128,6 +129,7 @@ type snapshot = {
   restarts : int;
   heartbeats_sent : int;
   stale_drops : int;
+  bad_src_drops : int;
   suspects : int;
   peer_downs : int;
   call_retries : int;
@@ -177,6 +179,7 @@ let create () : t =
     restarts = Atomic.make 0;
     heartbeats_sent = Atomic.make 0;
     stale_drops = Atomic.make 0;
+    bad_src_drops = Atomic.make 0;
     suspects = Atomic.make 0;
     peer_downs = Atomic.make 0;
     call_retries = Atomic.make 0;
@@ -226,6 +229,7 @@ let reset (t : t) =
   Atomic.set t.restarts 0;
   Atomic.set t.heartbeats_sent 0;
   Atomic.set t.stale_drops 0;
+  Atomic.set t.bad_src_drops 0;
   Atomic.set t.suspects 0;
   Atomic.set t.peer_downs 0;
   Atomic.set t.call_retries 0;
@@ -276,6 +280,7 @@ let incr_crashes (t : t) = add t.crashes 1
 let incr_restarts (t : t) = add t.restarts 1
 let incr_heartbeats_sent (t : t) = add t.heartbeats_sent 1
 let incr_stale_drops (t : t) = add t.stale_drops 1
+let incr_bad_src_drops (t : t) = add t.bad_src_drops 1
 let incr_suspects (t : t) = add t.suspects 1
 let incr_peer_downs (t : t) = add t.peer_downs 1
 let incr_call_retries (t : t) = add t.call_retries 1
@@ -366,6 +371,7 @@ let snapshot (t : t) =
     restarts = Atomic.get t.restarts;
     heartbeats_sent = Atomic.get t.heartbeats_sent;
     stale_drops = Atomic.get t.stale_drops;
+    bad_src_drops = Atomic.get t.bad_src_drops;
     suspects = Atomic.get t.suspects;
     peer_downs = Atomic.get t.peer_downs;
     call_retries = Atomic.get t.call_retries;
@@ -421,6 +427,7 @@ let zero =
     restarts = 0;
     heartbeats_sent = 0;
     stale_drops = 0;
+    bad_src_drops = 0;
     suspects = 0;
     peer_downs = 0;
     call_retries = 0;
@@ -484,6 +491,7 @@ let map2 f a b =
     restarts = f a.restarts b.restarts;
     heartbeats_sent = f a.heartbeats_sent b.heartbeats_sent;
     stale_drops = f a.stale_drops b.stale_drops;
+    bad_src_drops = f a.bad_src_drops b.bad_src_drops;
     suspects = f a.suspects b.suspects;
     peer_downs = f a.peer_downs b.peer_downs;
     call_retries = f a.call_retries b.call_retries;

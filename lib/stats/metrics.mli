@@ -28,6 +28,9 @@ type snapshot = {
   restarts : int;         (** simulated process restarts observed *)
   heartbeats_sent : int;  (** failure-detector pings and pongs sent *)
   stale_drops : int;      (** frames fenced for carrying an old incarnation *)
+  bad_src_drops : int;
+      (** frames and requests dropped for naming a source machine
+          outside the cluster *)
   suspects : int;         (** peers demoted Alive -> Suspect by the detector *)
   peer_downs : int;       (** peers confirmed Down by the detector *)
   call_retries : int;     (** RPC-level request resends after transport gave up *)
@@ -126,6 +129,7 @@ val incr_crashes : t -> unit
 val incr_restarts : t -> unit
 val incr_heartbeats_sent : t -> unit
 val incr_stale_drops : t -> unit
+val incr_bad_src_drops : t -> unit
 val incr_suspects : t -> unit
 val incr_peer_downs : t -> unit
 val incr_call_retries : t -> unit

@@ -107,14 +107,12 @@ let dropped_message_detected_as_deadlock () =
    cases below *)
 let reliable_pair () =
   let metrics = Metrics.create () in
-  let cluster =
-    Rmi_net.Cluster.create
-      ~transport:(Rmi_net.Cluster.Reliable Rmi_net.Cluster.default_params)
-      ~n:2 metrics
-  in
+  let cluster = Rmi_net.Cluster.create ~n:2 metrics in
+  (* fault hooks go on the raw cluster, under the ARQ *)
+  let net = Rmi_net.Reliable.wrap (Rmi_net.Sim.pack cluster) in
   let plans = Hashtbl.create 4 in
-  let n0 = Node.create (Rmi_net.Sim.pack cluster) ~id:0 ~meta ~config:Config.class_ ~plans in
-  let n1 = Node.create (Rmi_net.Sim.pack cluster) ~id:1 ~meta ~config:Config.class_ ~plans in
+  let n0 = Node.create net ~id:0 ~meta ~config:Config.class_ ~plans in
+  let n1 = Node.create net ~id:1 ~meta ~config:Config.class_ ~plans in
   Node.set_pump n0 (fun () -> Node.serve_pending n1);
   Node.set_pump n1 (fun () -> Node.serve_pending n0);
   Node.export n1 ~obj:0 ~meth:m_incr ~has_ret:true (fun args ->
@@ -169,7 +167,7 @@ let permanent_partition_times_out_cleanly () =
      with Node.Peer_down msg -> String.length msg > 0);
   let s = Metrics.snapshot metrics in
   Alcotest.(check bool) "retransmit budget spent" true
-    (s.Metrics.retries >= Rmi_net.Cluster.default_params.Rmi_net.Cluster.max_attempts - 1);
+    (s.Metrics.retries >= Rmi_net.Reliable.Ticks.max_attempts - 1);
   Alcotest.(check bool) "abandoned frame counted" true (s.Metrics.timeouts >= 1);
   (* the repeated transport failures opened machine 1's circuit
      breaker: a call issued inside the cooldown fast-fails without
@@ -218,6 +216,61 @@ let garbage_header_is_ignored () =
         (Rmi_serial.Equality.equal v (box 3))
   | None -> Alcotest.fail "no reply"
 
+(* a checksum-valid envelope naming a machine outside the cluster has
+   no link to charge it to: the ARQ drops and counts it instead of
+   indexing its per-peer tables out of bounds *)
+let envelope_from_unknown_machine_dropped () =
+  let metrics = Metrics.create () in
+  let cluster = Rmi_net.Cluster.create ~n:2 metrics in
+  let net = Rmi_net.Reliable.wrap (Rmi_net.Sim.pack cluster) in
+  Rmi_net.Cluster.inject_frame cluster ~dest:0
+    (Rmi_net.Envelope.encode ~kind:Rmi_net.Envelope.Data ~src:99 ~lseq:0
+       ~payload:(Bytes.of_string "from nowhere") ());
+  Alcotest.(check bool) "dropped" true (Rmi_net.Transport.try_recv net ~self:0 = None);
+  Alcotest.(check int) "counted" 1 (Metrics.snapshot metrics).Metrics.bad_src_drops;
+  Alcotest.(check int) "not acked" 0 (Metrics.snapshot metrics).Metrics.acks_sent;
+  (* the live path is unaffected *)
+  Rmi_net.Transport.send net ~src:1 ~dest:0 (Bytes.of_string "live");
+  Alcotest.(check (option string)) "live frame" (Some "live")
+    (Option.map Bytes.to_string (Rmi_net.Transport.try_recv net ~self:0))
+
+(* a request whose header names a machine outside the cluster has no
+   reply address: the serving node drops and counts it instead of
+   raising on the reply send *)
+let request_from_unknown_machine_dropped () =
+  let metrics = Metrics.create () in
+  let net = Rmi_net.Sim.create ~n:2 metrics in
+  let plans = Hashtbl.create 4 in
+  let n0 = Node.create net ~id:0 ~meta ~config:Config.class_ ~plans in
+  let n1 = Node.create net ~id:1 ~meta ~config:Config.class_ ~plans in
+  Node.set_pump n0 (fun () -> Node.serve_pending n1);
+  Node.export n1 ~obj:0 ~meth:m_incr ~has_ret:true (fun args -> Some args.(0));
+  let w = Rmi_wire.Msgbuf.create_writer () in
+  Rmi_wire.Protocol.write_header w
+    {
+      Rmi_wire.Protocol.kind = Rmi_wire.Protocol.Request;
+      src = 99;
+      epoch = 0;
+      seq = 1;
+      target_obj = 0;
+      method_id = m_incr;
+      callsite = -1;
+      nargs = 0;
+      plan_ver = 0;
+    };
+  Rmi_net.Transport.send net ~src:0 ~dest:1 (Rmi_wire.Msgbuf.contents w);
+  Alcotest.(check bool) "served without raising" true (Node.serve_pending n1);
+  Alcotest.(check int) "counted" 1 (Metrics.snapshot metrics).Metrics.bad_src_drops;
+  match
+    Node.call n0
+      ~dest:(Remote_ref.make ~machine:1 ~obj:0)
+      ~meth:m_incr ~callsite:1 ~has_ret:true [| box 5 |]
+  with
+  | Some v ->
+      Alcotest.(check bool) "live call served" true
+        (Rmi_serial.Equality.equal v (box 5))
+  | None -> Alcotest.fail "no reply"
+
 let handler_exception_does_not_kill_worker () =
   (* repeated remote failures in parallel mode; the worker must survive
      them all *)
@@ -251,6 +304,10 @@ let suite =
         Alcotest.test_case "reliable: permanent partition -> clean timeout"
           `Quick permanent_partition_times_out_cleanly;
         Alcotest.test_case "garbage header ignored" `Quick garbage_header_is_ignored;
+        Alcotest.test_case "envelope from an unknown machine dropped" `Quick
+          envelope_from_unknown_machine_dropped;
+        Alcotest.test_case "request from an unknown machine dropped" `Quick
+          request_from_unknown_machine_dropped;
         Alcotest.test_case "handler exceptions don't kill workers" `Quick
           handler_exception_does_not_kill_worker;
       ] );

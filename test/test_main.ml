@@ -8,6 +8,7 @@ let suites =
   @ Test_edge.suite @ Test_distributed.suite @ Test_optim.suite
   @ Test_futures.suite @ Test_crash.suite @ Test_tiers.suite
   @ Test_load.suite @ Test_transport.suite @ Test_chaos.suite
+  @ Test_totality.suite
 
 (* a per-suite census up front, so a run that silently drops a suite
    (or a registration that forgets one) is visible at a glance *)

@@ -86,6 +86,7 @@ let mk_snapshot k =
     restarts = k + 16;
     heartbeats_sent = k + 17;
     stale_drops = k + 18;
+    bad_src_drops = k + 52;
     suspects = k + 19;
     peer_downs = k + 20;
     call_retries = k + 21;
@@ -151,6 +152,7 @@ let every_counter_covered () =
   Metrics.incr_restarts m;
   Metrics.incr_heartbeats_sent m;
   Metrics.incr_stale_drops m;
+  Metrics.incr_bad_src_drops m;
   Metrics.incr_suspects m;
   Metrics.incr_peer_downs m;
   Metrics.incr_call_retries m;
@@ -197,6 +199,7 @@ let every_counter_covered () =
     restarts;
     heartbeats_sent;
     stale_drops;
+    bad_src_drops;
     suspects;
     peer_downs;
     call_retries;
@@ -234,7 +237,7 @@ let every_counter_covered () =
       remote_rpcs; local_rpcs; reused_objs; new_bytes; cycle_lookups;
       ser_invocations; msgs_sent; bytes_sent; type_bytes; allocs; retries;
       timeouts; dup_drops; acks_sent; crashes; restarts; heartbeats_sent;
-      stale_drops; suspects; peer_downs; call_retries; failovers;
+      stale_drops; bad_src_drops; suspects; peer_downs; call_retries; failovers;
       breaker_fastfails; reply_cache_hits; batches_sent; batched_msgs;
       unbatched_msgs; outstanding_hwm; tier_promotions; tier_deopts;
       plan_cache_hits; plan_cache_misses; bytes_copied; pool_hits; pool_misses;

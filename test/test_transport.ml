@@ -1,6 +1,7 @@
 (* Transport conformance: the same assertions run against the simulated
-   interconnect (Sim) and the real TCP loopback mesh (Sock) through the
-   backend-erased Transport.t, so the two implementations cannot drift
+   interconnect (Sim), the real TCP loopback mesh (Sock) and the
+   Reliable adapter stacked on each, through the backend-erased
+   Transport.t, so the implementations cannot drift
    on the contract the runtime layer depends on — FIFO delivery per
    pair, self-send loopback, the send accounting, the Envelope.gap
    reservation of send_writer, batch flush bookkeeping and the
@@ -33,6 +34,13 @@ end
 module Reliable_sock_backend : BACKEND = struct
   let label = "reliable/sock"
   let make ~n metrics = Reliable.wrap (Sock.create_loopback ~n metrics)
+end
+
+(* the same adapter over the simulated interconnect, on its idle-tick
+   timers: the stack the Sim fabric runs under [Config.Reliable] *)
+module Reliable_sim_backend : BACKEND = struct
+  let label = "reliable/sim"
+  let make ~n metrics = Reliable.wrap (Sim.create ~n metrics)
 end
 
 (* drive a fresh transport, always releasing its OS resources *)
@@ -224,6 +232,7 @@ end
 module Sim_conformance = Conformance (Sim_backend)
 module Sock_conformance = Conformance (Sock_backend)
 module Reliable_sock_conformance = Conformance (Reliable_sock_backend)
+module Reliable_sim_conformance = Conformance (Reliable_sim_backend)
 
 (* ------------------------------------------------------------------ *)
 (* cross-backend stream equality                                       *)
@@ -265,6 +274,6 @@ let suite =
   [
     ( "transport conformance",
       Sim_conformance.suite @ Sock_conformance.suite
-      @ Reliable_sock_conformance.suite
+      @ Reliable_sock_conformance.suite @ Reliable_sim_conformance.suite
       @ [ QCheck_alcotest.to_alcotest stream_equality ] );
   ]
