@@ -326,117 +326,64 @@ let ablation_wire_introspect () =
 (* BENCH_wire.json: machine-readable zero-copy wire-path numbers       *)
 (* ------------------------------------------------------------------ *)
 
-(* One (workload, transport) measurement: wall-clock ns per RMI plus
-   the zero-copy wire path's allocation telemetry. *)
-type wire_row = {
-  wb_workload : string;  (* "chain100" / "matrix16x16" *)
-  wb_mode : string;  (* "<transport>/zero-copy" *)
-  wb_ns_per_op : float;
-  wb_copied_per_call : float;  (* Metrics.bytes_copied delta / calls *)
-  wb_minor_per_call : float;  (* Gc.minor_words delta / calls *)
-  wb_major_per_call : float;  (* Gc.quick_stat major_words delta / calls *)
-  wb_promoted_per_call : float;  (* Gc.quick_stat promoted_words delta / calls *)
-  wb_pool_hits : int;
-  wb_pool_misses : int;
-}
+module Gate = Rmi.Gate
 
-let wire_measure ~calls (call, metrics) =
-  (* warmup covers plan compilation, pool priming, first envelopes *)
+(* One (workload, transport) row: wall-clock ns per RMI plus the
+   zero-copy wire path's allocation telemetry, over [calls] RMIs after
+   a warmup that covers plan compilation, pool priming and the first
+   envelopes. *)
+let wire_row ~calls workload variant (call, metrics) =
   for _ = 1 to max 8 (calls / 8) do
     call ()
   done;
   let s0 = Metrics.snapshot metrics in
-  let g0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to calls do
-    call ()
-  done;
-  let t1 = Unix.gettimeofday () in
-  let g1 = Gc.quick_stat () in
+  let g =
+    Gate.measure (fun () ->
+        for _ = 1 to calls do
+          call ()
+        done)
+  in
   let s1 = Metrics.snapshot metrics in
-  let fcalls = float_of_int calls in
-  ( (t1 -. t0) *. 1e9 /. fcalls,
-    float_of_int (s1.Metrics.bytes_copied - s0.Metrics.bytes_copied) /. fcalls,
-    (g1.Gc.minor_words -. g0.Gc.minor_words) /. fcalls,
-    (g1.Gc.major_words -. g0.Gc.major_words) /. fcalls,
-    (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. fcalls,
-    s1.Metrics.pool_hits - s0.Metrics.pool_hits,
-    s1.Metrics.pool_misses - s0.Metrics.pool_misses )
-
-let wire_modes =
-  let base = Config.site_reuse_cycle in
-  [
-    ("raw/zero-copy", base);
-    ("reliable/zero-copy", Config.with_reliable base);
-  ]
-
-let wire_rows ~calls =
-  let workloads =
-    [ ("chain100", list_unit_m); ("matrix16x16", array_unit_m) ]
-  in
-  List.concat_map
-    (fun (wname, unit_m) ->
-      List.map
-        (fun (mname, config) ->
-          let ns, copied, minor, major, promoted, hits, misses =
-            wire_measure ~calls (unit_m config)
-          in
-          {
-            wb_workload = wname;
-            wb_mode = mname;
-            wb_ns_per_op = ns;
-            wb_copied_per_call = copied;
-            wb_minor_per_call = minor;
-            wb_major_per_call = major;
-            wb_promoted_per_call = promoted;
-            wb_pool_hits = hits;
-            wb_pool_misses = misses;
-          })
-        wire_modes)
-    workloads
-
-let wire_json ~calls rows =
-  let row r =
-    Printf.sprintf
-      "    { \"workload\": %S, \"mode\": %S, \"ns_per_op\": %.1f, \
-       \"bytes_copied_per_call\": %.1f, \"minor_words_per_call\": %.1f, \
-       \"major_words_per_call\": %.1f, \"promoted_words_per_call\": %.1f, \
-       \"pool_hits\": %d, \"pool_misses\": %d }"
-      r.wb_workload r.wb_mode r.wb_ns_per_op r.wb_copied_per_call
-      r.wb_minor_per_call r.wb_major_per_call r.wb_promoted_per_call
-      r.wb_pool_hits r.wb_pool_misses
-  in
-  Printf.sprintf
-    "{\n  \"benchmark\": \"wire\",\n  \"calls\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
-    calls
-    (String.concat ",\n" (List.map row rows))
+  let per x = Gate.Num (1, x /. float_of_int calls) in
+  {
+    Gate.workload;
+    variant;
+    fields =
+      [
+        ("ns_per_op", per (g.wall_s *. 1e9));
+        ("bytes_copied_per_call", per (float_of_int (s1.bytes_copied - s0.bytes_copied)));
+        ("minor_words_per_call", per g.minor_words);
+        ("major_words_per_call", per g.major_words);
+        ("promoted_words_per_call", per g.promoted_words);
+        ("pool_hits", Gate.Int (s1.pool_hits - s0.pool_hits));
+        ("pool_misses", Gate.Int (s1.pool_misses - s0.pool_misses));
+      ];
+  }
 
 let run_wire ~calls path =
-  let rows = wire_rows ~calls in
-  let oc = open_out path in
-  output_string oc (wire_json ~calls rows);
-  close_out oc;
-  print_endline "Zero-copy wire path (wall clock + allocation telemetry):";
-  print_endline
-    (Rmi.Ascii_table.render
-       ~headers:
-         [
-           "workload"; "mode"; "ns/op"; "copied B/call"; "minor w/call";
-           "major w/call"; "promoted w/call"; "pool hit"; "pool miss";
-         ]
-       (List.map
-          (fun r ->
-            [
-              r.wb_workload; r.wb_mode;
-              Printf.sprintf "%.0f" r.wb_ns_per_op;
-              Printf.sprintf "%.1f" r.wb_copied_per_call;
-              Printf.sprintf "%.1f" r.wb_minor_per_call;
-              Printf.sprintf "%.1f" r.wb_major_per_call;
-              Printf.sprintf "%.1f" r.wb_promoted_per_call;
-              string_of_int r.wb_pool_hits;
-              string_of_int r.wb_pool_misses;
-            ])
-          rows));
+  let base = Config.site_reuse_cycle in
+  let report =
+    {
+      Gate.gate = "wire";
+      title = "Zero-copy wire path (wall clock + allocation telemetry)";
+      facts = [ ("calls", Gate.Int calls) ];
+      rows =
+        List.concat_map
+          (fun (workload, unit_m) ->
+            List.map
+              (fun (variant, config) ->
+                wire_row ~calls workload variant (unit_m config))
+              [
+                ("raw/zero-copy", base);
+                ("reliable/zero-copy", Config.with_reliable base);
+              ])
+          [ ("chain100", list_unit_m); ("matrix16x16", array_unit_m) ];
+      checks = [];
+    }
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Gate.to_json report));
+  print_endline (Gate.render report);
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -558,11 +505,8 @@ let main pipeline batch window wire_json_path =
       if pipeline then begin
         print_endline "=== Pipelining / batching comparison ===";
         print_newline ();
-        List.iter
-          (fun report ->
-            print_endline (Rmi.Experiment.render_pipeline report);
-            print_newline ())
-          (Rmi.Experiment.pipeline_compare ~window ())
+        print_endline (Gate.render (Rmi.Experiment.pipeline_compare ~window ()));
+        print_newline ()
       end;
       print_endline
         "=== Paper tables (small scale; --scale paper via bin/main.exe) ===";

@@ -18,6 +18,32 @@ let print_timing_and_shape t =
   print_endline (E.shape_summary t);
   print_newline ()
 
+(* Print a gate's report, write it as JSON to [json] when given, and
+   exit 1 naming the checks that failed. *)
+let gate ?json (r : Rmi.Gate.report) =
+  print_endline (Rmi.Gate.render r);
+  Option.iter
+    (fun file ->
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc (Rmi.Gate.to_json r));
+      Printf.printf "wrote %s\n" file)
+    json;
+  match Rmi.Gate.failed r with
+  | [] -> ()
+  | names ->
+      Printf.eprintf "%s: failed checks: %s\n" r.Rmi.Gate.gate
+        (String.concat ", " names);
+      exit 1
+
+let json_arg artifact =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:
+          (Printf.sprintf "Also write the report as JSON to $(docv) (%s)."
+             artifact))
+
 let run_table1 scale mode backend =
   print_timing_and_shape (E.table1 ~scale ~mode ~backend ())
 
@@ -66,29 +92,7 @@ let all_cmd =
 
 let pipeline_cmd =
   let run scale mode window faults =
-    let reports = E.pipeline_compare ~scale ~mode ~window ?faults () in
-    List.iter
-      (fun report ->
-        print_endline (E.render_pipeline report);
-        print_newline ())
-      reports;
-    (* under --faults the checksums must still agree across variants *)
-    let mismatched =
-      List.exists
-        (fun (r : E.pipeline_report) ->
-          match r.E.p_rows with
-          | [] -> false
-          | first :: rest ->
-              List.exists
-                (fun (row : E.pipeline_row) ->
-                  not (Float.equal row.E.checksum first.E.checksum))
-                rest)
-        reports
-    in
-    if mismatched then begin
-      prerr_endline "pipeline: checksum mismatch between variants";
-      exit 1
-    end
+    gate (E.pipeline_compare ~scale ~mode ~window ?faults ())
   in
   Cmd.v
     (Cmd.info "pipeline"
@@ -103,19 +107,7 @@ let pipeline_cmd =
 
 let crash_cmd =
   let run seed crashes calls window =
-    let r = E.crash_compare ~seed ~crashes ~calls ~window () in
-    print_endline (E.render_crash r);
-    let durable_ok =
-      List.exists
-        (fun (row : E.crash_row) ->
-          String.equal row.E.c_variant "durable crash" && row.E.c_ok)
-        r.E.c_rows
-    in
-    if not (durable_ok && r.E.c_replay_equal) then begin
-      prerr_endline
-        "crash: durable run diverged from fault-free baseline or replay";
-      exit 1
-    end
+    gate (E.crash_compare ~seed ~crashes ~calls ~window ())
   in
   Cmd.v
     (Cmd.info "crash"
@@ -139,14 +131,7 @@ let tiers_cmd =
           ~doc:"How many swap RMIs each tier variant issues.")
   in
   let run calls window hot_threshold =
-    let r = E.tiers_compare ~calls ~window ~hot_threshold () in
-    print_endline (E.render_tiers r);
-    if not (r.E.t_equal && r.E.t_converged) then begin
-      prerr_endline
-        "tiers: adaptive run diverged from the generic/aot baselines or \
-         never reached the specialized plan";
-      exit 1
-    end
+    gate (E.tiers_compare ~calls ~window ~hot_threshold ())
   in
   Cmd.v
     (Cmd.info "tiers"
@@ -178,19 +163,7 @@ let wirecost_cmd =
              variant; the run replays it deterministically.")
   in
   let run calls window seed =
-    let r = E.wirecost_compare ~calls ~window ~seed () in
-    print_endline (E.render_wirecost r);
-    if
-      not
-        (r.E.u_frames_ok && r.E.u_copied_ok && r.E.u_results_ok
-       && r.E.u_gate_ok)
-    then begin
-      prerr_endline
-        "wirecost: frames or copied bytes drifted from the pins, results \
-         diverged, or an enveloped row copied more than half of the \
-         copy-based framing's bytes per call";
-      exit 1
-    end
+    gate (E.wirecost_compare ~calls ~window ~seed ())
   in
   Cmd.v
     (Cmd.info "wirecost"
@@ -212,7 +185,7 @@ let alloc_cmd =
       & opt int 192
       & info [ "calls" ] ~docv:"N"
           ~doc:
-            "How many measured RMIs each (workload, variant, allocator) run \
+            "How many measured RMIs each (workload, variant) run \
              issues (after a warmup quarter).")
   in
   let alloc_seed_arg =
@@ -222,52 +195,29 @@ let alloc_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:
             "Seed for the lossy fault schedule of the reliable+faults \
-             variant; both allocator modes replay it deterministically.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the report as JSON to $(docv) (BENCH_alloc.json).")
+             variant; the run replays it deterministically.")
   in
   let run calls window seed json =
-    let r = E.alloc_compare ~calls ~window ~seed () in
-    print_endline (E.render_alloc r);
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (E.alloc_json r);
-        close_out oc;
-        Printf.printf "wrote %s\n" file);
-    if
-      not
-        (r.E.al_frames_ok && r.E.al_results_ok && r.E.al_gate_ok
-       && r.E.al_arena_ok)
-    then begin
-      prerr_endline
-        "alloc: arena decoding drifted from the GC-heap frames or results, \
-         the gated row missed the 50% minor-words cut, or the arena failed \
-         to engage on a no-reuse row";
-      exit 1
-    end
+    gate ?json (E.alloc_compare ~calls ~window ~seed ())
   in
   Cmd.v
     (Cmd.info "alloc"
        ~doc:
-         "Compare GC-heap decoding against arena decoding on the \
-          paper-table message shapes, each through its site-specialized \
-          plan (the matrix through the flat struct-of-arrays step), over \
-          raw, reliable, seeded-lossy and reliable-with-reuse links.  \
-          Digests every physical frame to prove both allocators \
-          byte-identical on the wire, and exits nonzero on any frame or \
-          result drift — or if the gated row misses the 50% \
-          minor-words-per-call cut against the checked-in baseline, or the \
-          arena fails to engage where the escape analysis licenses it.  \
+         "Run the paper-table message shapes through their \
+          site-specialized plans (the matrix through the flat \
+          struct-of-arrays step) over raw, reliable, seeded-lossy and \
+          reliable-with-reuse links with arena decoding.  Digests every \
+          physical frame and exits nonzero if, for the pinned argument sets \
+          (the defaults and --window 8), a frame stream or checksum differs \
+          from the pins recorded when the GC-heap decoder was retired, if \
+          the gated row misses the 50% minor-words-per-call cut against \
+          the checked-in baseline, or if the arena fails to engage where \
+          the escape analysis licenses it (allocs, resets, <= 10% \
+          fallbacks, fewer minor words than the retired decoder spent).  \
           The CI alloc-gate job runs this.")
     Term.(
-      const run $ alloc_calls_arg $ Cli.window_arg $ alloc_seed_arg $ json_arg)
+      const run $ alloc_calls_arg $ Cli.window_arg $ alloc_seed_arg
+      $ json_arg "BENCH_alloc.json")
 
 let load_cmd =
   let load_calls_arg =
@@ -321,33 +271,11 @@ let load_cmd =
             "Maximum p999 latency ratio, hi-domain over 1-domain, \
              enforced when the host has the cores.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the report as JSON to $(docv) (BENCH_load.json).")
-  in
   let run calls window servers domains queue_depth spin seed speedup_floor
       tail_tol json =
-    let r =
-      E.load_compare ~calls ~window ~servers ~domains ~queue_depth ~spin ~seed
-        ~speedup_floor ~tail_tol ()
-    in
-    print_endline (E.render_load r);
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (E.load_json r);
-        close_out oc;
-        Printf.printf "wrote %s\n" file);
-    if not r.E.l_gate_ok then begin
-      prerr_endline
-        "load: reply digests diverged across domain counts, or the \
-         multi-domain run missed the throughput/tail gate";
-      exit 1
-    end
+    gate ?json
+      (E.load_compare ~calls ~window ~servers ~domains ~queue_depth ~spin ~seed
+         ~speedup_floor ~tail_tol ())
   in
   Cmd.v
     (Cmd.info "load"
@@ -366,7 +294,7 @@ let load_cmd =
     Term.(
       const run $ load_calls_arg $ load_window_arg $ Cli.servers_arg
       $ Cli.domains_arg $ Cli.queue_depth_arg $ spin_arg $ load_seed_arg
-      $ speedup_floor_arg $ tail_tol_arg $ json_arg)
+      $ speedup_floor_arg $ tail_tol_arg $ json_arg "BENCH_load.json")
 
 let transport_cmd =
   let t_calls_arg =
@@ -390,31 +318,8 @@ let transport_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:"Workload seed (both backends replay the same calls).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the report as JSON to $(docv) \
-             (BENCH_transport.json).")
-  in
   let run calls window seed json =
-    let r = E.transport_compare ~calls ~window ~seed () in
-    print_endline (E.render_transport r);
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (E.transport_json r);
-        close_out oc;
-        Printf.printf "wrote %s\n" file);
-    if not (r.E.x_digest_ok && r.E.x_model_ok) then begin
-      prerr_endline
-        "transport: reply digests diverged between the simulated and \
-         socket backends, or the wire counters / modeled seconds drifted";
-      exit 1
-    end
+    gate ?json (E.transport_compare ~calls ~window ~seed ())
   in
   Cmd.v
     (Cmd.info "transport"
@@ -426,7 +331,9 @@ let transport_cmd =
           Exits nonzero unless the digests are byte-identical and the \
           modeled cost survives the transport substitution — the CI \
           socket-smoke job gates on this.")
-    Term.(const run $ t_calls_arg $ t_window_arg $ t_seed_arg $ json_arg)
+    Term.(
+      const run $ t_calls_arg $ t_window_arg $ t_seed_arg
+      $ json_arg "BENCH_transport.json")
 
 let chaos_cmd =
   let sweep_arg =
@@ -438,31 +345,8 @@ let chaos_cmd =
             "How many seeds the durable exactly-once sweep covers (each is \
              one full chaos run over a fresh loopback mesh).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the gate verdicts and the durable run's reply \
-             digest as JSON to $(docv) (the CI socket-chaos artifact).")
-  in
   let run seed calls window sweep json =
-    let r = E.chaos_compare ~seed ~calls ~window ~sweep () in
-    print_endline (E.render_chaos r);
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (E.chaos_json r);
-        close_out oc;
-        Printf.printf "wrote %s\n" file);
-    if not (E.chaos_ok r) then begin
-      prerr_endline
-        "chaos: exactly-once broke over the socket transport, or the \
-         seeded schedule failed to replay identically";
-      exit 1
-    end
+    gate ?json (E.chaos_compare ~seed ~calls ~window ~sweep ())
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -478,7 +362,7 @@ let chaos_cmd =
           upholds exactly-once — the CI socket-chaos job gates on this.")
     Term.(
       const run $ Cli.seed_arg $ Cli.calls_arg $ Cli.window_arg $ sweep_arg
-      $ json_arg)
+      $ json_arg "the CI socket-chaos artifact")
 
 let proc_cmd =
   let p_calls_arg =
@@ -526,7 +410,7 @@ let proc_cmd =
       E.transport_proc ~calls ~window ~reliable ~epoch ?listen ~self ~addrs ()
     with
     | None -> ()
-    | Some runs -> print_endline (E.render_proc runs)
+    | Some r -> gate r
   in
   Cmd.v
     (Cmd.info "proc"
@@ -541,6 +425,44 @@ let proc_cmd =
     Term.(
       const run $ Cli.self_arg $ Cli.listen_arg $ Cli.peers_arg $ p_calls_arg
       $ p_window_arg $ p_reliable_arg $ p_epoch_arg)
+
+let validate_cmd =
+  let gate_name =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"GATE"
+          ~doc:"The gate that wrote the file (wire, alloc, load, transport, chaos).")
+  in
+  let file =
+    Arg.(
+      required
+      & pos 1 (some file) None
+      & info [] ~docv:"FILE" ~doc:"The JSON report.")
+  in
+  let rows =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "rows" ] ~docv:"N" ~doc:"Require exactly $(docv) rows.")
+  in
+  let run gate file rows =
+    match
+      E.validate ~gate ?rows (In_channel.with_open_bin file In_channel.input_all)
+    with
+    | Ok () -> Printf.printf "%s: valid %s report\n" file gate
+    | Error msg ->
+        Printf.eprintf "%s: %s\n" file msg;
+        exit 1
+  in
+  Cmd.v
+    (Cmd.info "validate"
+       ~doc:
+         "Check a gate's JSON report: it parses, carries every report-level \
+          and per-row key of the gate's schema, has $(b,--rows) rows when \
+          given, and its verdict \"ok\" is true.  The CI jobs run this on \
+          every artifact they upload.")
+    Term.(const run $ gate_name $ file $ rows)
 
 let report_cmd =
   let run () =
@@ -789,6 +711,7 @@ let cmds =
     load_cmd;
     transport_cmd;
     proc_cmd;
+    validate_cmd;
     report_cmd;
     compile_cmd;
     breakdown_cmd;

@@ -118,6 +118,7 @@ module Fault_sim = Rmi_net.Fault_sim
 module Transport = Rmi_net.Transport
 
 module Experiment = Rmi_harness.Experiment
+module Gate = Rmi_harness.Gate
 module Paper_data = Rmi_harness.Paper_data
 module Cli = Rmi_harness.Cli
 

@@ -77,13 +77,6 @@ type t = {
   hot_threshold : int;
       (** invocations of one call site before the adaptive tier
           promotes it to the specialized plan *)
-  arena : bool;
-      (** decode served arguments into a recycling arena and reclaim
-          them wholesale after dispatch when the plan's [non_escaping]
-          escape-analysis verdict licenses it (PR 10).  On for every
-          preset — reply bytes are identical either way, only the
-          allocator changes; [legacy_heap] turns the GC-heap decode
-          path back on for the [alloc] differential experiment *)
   domains : int;
       (** worker domains in the server-side dispatch pool (PR 6).  [0]
           — the preset default — keeps the paper's serial model: each
@@ -124,13 +117,6 @@ val with_adaptive : ?hot_threshold:int -> t -> t
 
 (** Same optimization row with this tier (threshold unchanged). *)
 val with_tier : tier -> t -> t
-
-(** Same optimization row with the given decode-arena mode. *)
-val with_arena : bool -> t -> t
-
-(** Same optimization row decoding on the GC heap (pre-PR-10 allocator;
-    used as the baseline by the [alloc] experiment). *)
-val legacy_heap : t -> t
 
 (** [with_domains n t] serves requests from a work-stealing pool of [n]
     domains ([n = 0] restores the serial per-node loop); [queue_depth]

@@ -39,11 +39,10 @@ type compiled_plan = {
   mutable cp_wctx : (bool * Codec.wctx) option;
   mutable cp_rctx : (bool * Codec.rctx) option;
   (* serve-side argument decoding only (PR 10): an arena-backed reader
-     context used when [Config.arena] is on and the plan's
-     [non_escaping] escape verdict licenses wholesale reclaim.  Kept
-     separate from [cp_rctx] because return values decoded on the
-     client side escape to the application and must stay on the GC
-     heap. *)
+     context used when [arena_mode] holds (the plan's [non_escaping]
+     escape verdict licenses wholesale reclaim).  Kept separate from
+     [cp_rctx] because return values decoded on the client side escape
+     to the application and must stay on the GC heap. *)
   mutable cp_arena : Rmi_serial.Arena.t option;
   mutable cp_arctx : (bool * Codec.rctx) option;
 }
@@ -490,14 +489,13 @@ let rctx_for t cp ~cycle =
       cp.cp_rctx <- Some (cycle, rctx);
       rctx
 
-(* Arena decoding applies when the knob is on, the plan's escape
-   analysis proved no served argument outlives its dispatch, and
-   per-position reuse is off — reuse already recycles the previous
-   call's graph in place, and running both schemes at once would hand
-   the same node out twice (once as a reuse candidate, once from a
-   shape pool). *)
+(* Arena decoding applies when the plan's escape analysis proved no
+   served argument outlives its dispatch, and per-position reuse is
+   off — reuse already recycles the previous call's graph in place,
+   and running both schemes at once would hand the same node out twice
+   (once as a reuse candidate, once from a shape pool). *)
 let arena_mode t cp =
-  t.cfg.Config.arena && site_mode t
+  site_mode t
   && (not t.cfg.Config.reuse)
   && cp.cp_plan.Plan.non_escaping
 

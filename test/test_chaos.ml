@@ -201,7 +201,14 @@ let test_loopback_ceiling () =
 let prop_exactly_once =
   QCheck.Test.make ~count:8 ~name:"durable chaos is exactly-once over TCP"
     QCheck.(make Gen.(int_bound 1_000_000))
-    (fun seed -> E.chaos_exactly_once ~calls:10 ~window:4 ~seed ())
+    (fun seed ->
+      let c = E.chaos_exactly_once ~calls:10 ~window:4 ~seed () in
+      Rmi_harness.Gate.holds c
+      || QCheck.Test.fail_reportf "%s"
+           (String.concat "; "
+              (List.filter_map
+                 (fun (item, ok) -> if ok then None else Some item)
+                 c.Rmi_harness.Gate.items)))
 
 let suite =
   [

@@ -207,15 +207,20 @@ let aot_lying_plan_raises_cleanly () =
 (* --- equivalence and convergence --- *)
 
 let tiers_compare_converges () =
+  let module Gate = Rmi_harness.Gate in
   let r = Rmi_harness.Experiment.tiers_compare ~calls:24 ~window:6
       ~hot_threshold:6 ()
   in
   Alcotest.(check int) "three variants" 3
-    (List.length r.Rmi_harness.Experiment.t_rows);
+    (List.length
+       (List.filter (fun row -> row.Gate.workload = "swap") r.Gate.rows));
   Alcotest.(check bool) "replies byte-identical" true
-    r.Rmi_harness.Experiment.t_equal;
+    (Gate.holds (Gate.check r "replies_equal"));
+  let converged = Gate.check r "converged" in
   Alcotest.(check bool) "adaptive converges to aot" true
-    r.Rmi_harness.Experiment.t_converged
+    (converged.Gate.items <> [] && Gate.holds converged
+    && Gate.holds (Gate.check r "promoted"));
+  Alcotest.(check bool) "gate verdict" true (Gate.ok r)
 
 (* --- crash: tiers re-warm --- *)
 
